@@ -2,7 +2,8 @@
 # reproduction. `make ci` is the one-command gate: lint (gofmt + vet +
 # the c4vet determinism-lint suite) + build + the full test suite, then
 # the short suite again under the race detector (which also proves the
-# parallel scenario and campaign runners share no state). The GitHub
+# parallel scenario and campaign runners share no state), the smoke
+# trials, and a checked pass of the host benchmark. The GitHub
 # workflow (.github/workflows/ci.yml) runs the same targets plus the
 # bench-regression guard and a coverage report, so local and CI gates
 # agree.
@@ -12,7 +13,7 @@ SHA := $(shell git rev-parse --short HEAD 2>/dev/null || echo dev)
 
 .PHONY: all build vet c4vet lint fmt-check test test-race kernel-race \
 	tenancy-smoke telemetry-smoke plan-smoke serve-smoke trace-smoke \
-	campaign-smoke docker \
+	campaign-smoke perfbench-check docker \
 	ci bench experiments bench-json bench-baseline bench-check cover clean
 
 all: ci
@@ -53,9 +54,11 @@ test-race:
 	$(GO) test -race -short ./...
 
 # The network kernel's parallel component settle under the race detector,
-# without -short: the full kernel-equivalence suite (netsim unit tests,
-# engine heap tests, collective-level accl tests) plus the 256-node
-# netsim/scale-* scenarios, which fill many components on worker pools.
+# without -short: the netsim suite (equivalence against the per-flow
+# oracle, serial and on 4 workers, plus the 256-node oracle sweep), the
+# engine heap tests and the pinned collective-level accl tests, then the
+# 256-node netsim/scale-* scenarios, which fill many components on worker
+# pools.
 kernel-race:
 	$(GO) test -race ./internal/sim/ ./internal/netsim/ ./internal/accl/
 	$(GO) run -race ./cmd/c4bench -only 'netsim/*'
@@ -111,17 +114,36 @@ campaign-smoke:
 	$(GO) run ./cmd/c4campaign check -manifest campaigns/smoke.json CAMP_merged.json
 	@rm -f CAMP_serial.json CAMP_p0.json CAMP_p1.json CAMP_merged_serial.json CAMP_merged.json CAMP_s0.ckpt CAMP_s1.ckpt
 
+# The host benchmark module (perfbench/, its own go.mod): vet and unit
+# tests, then one checked pass of each workload mix. perfbench exits 0
+# even when runs fail, so each pass must end in a result line reporting
+# "correct":true — every run succeeded and matched its recorded reference
+# digests.
+PERFBENCH_WORKLOADS := campaign pipeline3d detect
+perfbench-check:
+	$(GO) -C perfbench vet ./...
+	$(GO) -C perfbench test ./...
+	@for w in $(PERFBENCH_WORKLOADS); do \
+		echo "perfbench: $$w"; \
+		last="$$(bash perfbench/run.sh --workload $$w --seed 0 --seconds 1 --trace 0 | tail -n 1)" || exit 1; \
+		case "$$last" in \
+			*'"correct":true'*) ;; \
+			*) echo "FAIL: perfbench $$w: $$last"; exit 1;; \
+		esac; \
+	done
+
 # Container image for the daemon (requires docker; CI runs it on push).
 docker:
 	docker build -t c4serve:$(SHA) .
 
-ci: lint build test test-race kernel-race tenancy-smoke telemetry-smoke plan-smoke serve-smoke trace-smoke campaign-smoke
+ci: lint build test test-race kernel-race tenancy-smoke telemetry-smoke plan-smoke serve-smoke trace-smoke campaign-smoke perfbench-check
 
 # Microbenchmarks, including the incremental-vs-full-recompute pair
 # (internal/telemetry: BenchmarkIncrementalObserve vs
 # BenchmarkBatchAnalyzePass) behind the online/scale-sweep scenario and
-# the network-kernel trio (internal/netsim: BenchmarkRecomputePerFlow vs
-# BenchmarkRecomputeAggregated vs BenchmarkSettleParallel).
+# the network-kernel trio (internal/netsim: the per-flow test oracle,
+# BenchmarkRecomputePerFlow, vs the flow-class kernel serial,
+# BenchmarkRecomputeAggregated, and on 4 workers, BenchmarkSettleParallel).
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' ./...
 

@@ -363,7 +363,7 @@ multi-tenant runs can mix pipeline and pure-DP traffic on one fabric.`)
 }
 
 // writeScaleDocs documents the netsim kernel family (internal/netsim's
-// flow-class aggregation and parallel component settle) in the generated
+// flow-class aggregation and component settle) in the generated
 // experiments file.
 func writeScaleDocs(w *os.File) {
 	fmt.Fprintln(w, `
@@ -372,28 +372,30 @@ func writeScaleDocs(w *os.File) {
 The netsim/* scenarios measure the fluid network kernel at datacenter
 scale on a gang-partitioned world: groups of 8 nodes running ring
 traffic, each ring edge carrying many equal-path flows (QPs times
-in-flight chunks). Two rebuilt kernels are held to one oath — they must
-reproduce the per-flow reference kernel bit for bit:
+in-flight chunks). The kernel has two parts, and together they reproduce
+per-flow progressive filling bit for bit:
 
-- flow-class aggregation (`+"`netsim.Config.Aggregate`"+`): flows with
-  identical link chains collapse into one fluid class with a member
-  count, so max-min filling, the CNP pass, and the ETA pass cost
-  O(classes), not O(flows). Per-flow semantics (StartFlow / Cancel /
-  Reroute / OnPathDown, per-member completion callbacks) are untouched.
-- parallel component settle (`+"`netsim.Config.SettleWorkers`"+`):
-  touched links partition into connected components via union-find and
-  fill on a bounded worker pool; components are memory-disjoint and
-  outputs merge in deterministic order, so the parallel run is
-  byte-identical to serial (proved under -race in CI).
+- flow-class aggregation: flows with identical link chains collapse into
+  one fluid class with a member count, so max-min filling, the CNP pass,
+  and the ETA pass cost O(classes), not O(flows). Per-flow semantics
+  (StartFlow / Cancel / Reroute / OnPathDown, per-member completion
+  callbacks) are untouched.
+- component settle (`+"`netsim.Config.SettleWorkers`"+`): touched links
+  partition into connected components via union-find and fill serially
+  or on a bounded worker pool; components are memory-disjoint and outputs
+  merge in deterministic order, so the parallel run is byte-identical to
+  serial (proved under -race in CI).
 
-Work is scored in deterministic KernelStats link visits, so the ratios
-are bench-baseline stable. netsim/scale-aggregate demands >= 10x less
-kernel work at 256 nodes; netsim/scale-parallel pins the component
-decomposition; netsim/scale-sweep shows the ratio growing with the
-aggregation factor (flows per chain). Equivalence is re-proved at every
-layer: netsim unit tests, collective-level tests in internal/accl, and
-whole-family replays of the figure/tenancy/plan scenarios through the
-forced aggregated kernel.`)
+Work is scored in deterministic KernelStats link visits, pinned as
+absolute counters in the bench baseline. netsim/scale-aggregate pins the
+kernel's work, class and component census at 256 nodes;
+netsim/scale-parallel pins the component decomposition and serial ==
+parallel; netsim/scale-sweep shows per-recompute work staying flat as
+flows per chain grow 16x. Equivalence to the per-flow reference (and the
+>= 10x work reduction at 32 flows per chain) is proved by the netsim
+package tests against a per-flow oracle kept in test code; golden pins
+recorded under the per-flow kernel guard the collective layer and whole
+figure/tenancy/plan/campaign scenario renderings.`)
 }
 
 func escape(s string) string {

@@ -49,11 +49,15 @@ func TestScenarios(t *testing.T) {
 		reports = r.Run(context.Background(), seed, scns)
 	}()
 
+	// ran marks the serial subtests a -run filter kept; only those have a
+	// serial rendering to compare the parallel run against.
 	serial := make([]string, len(scns))
+	ran := make([]bool, len(scns))
 	t.Run("serial", func(t *testing.T) {
 		for i, s := range scns {
 			i, s := i, s
 			t.Run(s.Name, func(t *testing.T) {
+				ran[i] = true
 				t.Parallel()
 				res := s.Run(scenario.NewCtx(seed))
 				if err := res.CheckShape(); err != nil {
@@ -69,6 +73,9 @@ func TestScenarios(t *testing.T) {
 
 	<-parallelDone
 	for i, rep := range reports {
+		if !ran[i] {
+			continue
+		}
 		if rep.Err != nil {
 			t.Errorf("parallel runner: %v", rep.Err)
 			continue

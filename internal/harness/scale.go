@@ -12,14 +12,14 @@ import (
 )
 
 // This file registers the netsim/scale-* family: the flow-class kernel
-// rebuild measured at datacenter scale. Each scenario drives the same
+// measured at datacenter scale. Each scenario drives the same
 // gang-partitioned world — groups of 8 nodes running ring traffic, the
-// communication shape of pure-DP training with gang scheduling — through
-// two or more kernel configurations and holds them to the rebuild's oath:
-// the aggregated and parallel kernels must reproduce the per-flow
-// reference bit for bit while doing an order of magnitude less work.
-// Work is scored in KernelStats link visits, a deterministic step count
-// safe for the bench-regression baseline.
+// communication shape of pure-DP training with gang scheduling — and pins
+// the kernel's absolute work: KernelStats link visits, the class and
+// component census, makespan and event count, all deterministic and safe
+// for the bench-regression baseline. Equivalence to the per-flow
+// reference and the work reduction against it are proven by the netsim
+// package tests, where the reference lives.
 
 // scaleSpec is the gang-partitioned datacenter slice the family runs on:
 // groups of 8 nodes on a 2-rail, 4-spine fabric.
@@ -47,8 +47,8 @@ const scaleFlowsPerPair = 32
 func scaleComponents(nodes int) int { return scaleSpec(nodes).Groups() * 4 }
 
 // ScaleArm is one kernel configuration's complete run of the gang world:
-// the observables that must match across kernels (makespan, probe bytes,
-// event count) plus the work counters that must not.
+// the observables that must match across configurations (makespan, probe
+// bytes, event count) plus the kernel's work counters.
 type ScaleArm struct {
 	Kernel     string
 	Flows      int
@@ -59,8 +59,8 @@ type ScaleArm struct {
 	Events     uint64
 	Recomputes uint64
 	LinkVisits uint64
-	Classes    int // live flow classes mid-run (0 under per-flow)
-	Components int // link components mid-run (0 under per-flow)
+	Classes    int // live flow classes mid-run
+	Components int // link components mid-run
 }
 
 // runScaleArm builds a fresh engine, fabric and network under cfg, starts
@@ -114,7 +114,7 @@ func runScaleArm(ctx *scenario.Ctx, nodes, flowsPerPair int, cfg netsim.Config, 
 }
 
 // armDiverged compares the observables of two arms; any difference is a
-// kernel-equivalence bug, not tolerance-worthy noise.
+// determinism bug, not tolerance-worthy noise.
 func armDiverged(ref, a ScaleArm) error {
 	if a.Makespan != ref.Makespan {
 		return fmt.Errorf("%s makespan %v != %s %v", a.Kernel, a.Makespan, ref.Kernel, ref.Makespan)
@@ -129,30 +129,18 @@ func armDiverged(ref, a ScaleArm) error {
 	return nil
 }
 
-// ScaleKernelResult compares kernel arms on one world: every arm after the
-// first must match the first bit for bit, and optionally the last arm must
-// beat the first by WantRatio in link visits or decompose the fabric into
-// WantComponents independent filling problems.
+// ScaleKernelResult holds kernel arms on one world: every arm after the
+// first must match the first bit for bit, and every arm must decompose the
+// fabric into scaleComponents independent filling problems.
 type ScaleKernelResult struct {
-	Nodes          int
-	Arms           []ScaleArm
-	WantRatio      float64
-	WantComponents int
+	Nodes int
+	Arms  []ScaleArm
 }
 
-// WorkRatio is reference work over rebuilt-kernel work in link visits.
-func (r ScaleKernelResult) WorkRatio() float64 {
-	last := r.Arms[len(r.Arms)-1]
-	if last.LinkVisits == 0 {
-		return 0
-	}
-	return float64(r.Arms[0].LinkVisits) / float64(last.LinkVisits)
-}
-
-// String renders the per-kernel table.
+// String renders the per-arm table.
 func (r ScaleKernelResult) String() string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "netsim kernels on the %d-node gang world (%d flows)\n", r.Nodes, r.Arms[0].Flows)
+	fmt.Fprintf(&sb, "netsim kernel on the %d-node gang world (%d flows)\n", r.Nodes, r.Arms[0].Flows)
 	rows := make([][]string, len(r.Arms))
 	for i, a := range r.Arms {
 		rows[i] = []string{
@@ -165,14 +153,11 @@ func (r ScaleKernelResult) String() string {
 		}
 	}
 	sb.WriteString(metrics.Table([]string{"kernel", "makespan", "recomputes", "link visits", "classes", "components"}, rows))
-	if r.WantRatio > 0 {
-		fmt.Fprintf(&sb, "work ratio %.1fx (want >= %.0fx)\n", r.WorkRatio(), r.WantRatio)
-	}
 	return sb.String()
 }
 
-// CheckShape holds the family's oath: bit-identical observables across
-// kernels, full completion, and the promised work reduction.
+// CheckShape: full completion, bit-identical observables across arms, one
+// class per ring edge and four components per gang.
 func (r ScaleKernelResult) CheckShape() error {
 	ref := r.Arms[0]
 	for _, a := range r.Arms {
@@ -182,49 +167,24 @@ func (r ScaleKernelResult) CheckShape() error {
 		if err := armDiverged(ref, a); err != nil {
 			return err
 		}
-	}
-	last := r.Arms[len(r.Arms)-1]
-	if r.WantRatio > 0 && r.WorkRatio() < r.WantRatio {
-		return fmt.Errorf("work ratio %.1fx below the promised %.0fx (%d vs %d link visits)",
-			r.WorkRatio(), r.WantRatio, ref.LinkVisits, last.LinkVisits)
-	}
-	if r.WantComponents > 0 && last.Components != r.WantComponents {
-		return fmt.Errorf("%s saw %d link components, want %d (four per gang)",
-			last.Kernel, last.Components, r.WantComponents)
+		if a.Classes != r.Nodes {
+			return fmt.Errorf("%s saw %d flow classes, want %d (one per ring edge)", a.Kernel, a.Classes, r.Nodes)
+		}
+		if want := scaleComponents(r.Nodes); a.Components != want {
+			return fmt.Errorf("%s saw %d link components, want %d (four per gang)",
+				a.Kernel, a.Components, want)
+		}
 	}
 	return nil
 }
 
-// Metrics feeds the bench-regression baseline; every number is a
-// deterministic step count or virtual time.
-func (r ScaleKernelResult) Metrics() map[string]float64 {
-	last := r.Arms[len(r.Arms)-1]
-	return map[string]float64{
-		"makespan_s":     r.Arms[0].Makespan.Seconds(),
-		"work_ratio":     r.WorkRatio(),
-		"ref_linkvisits": float64(r.Arms[0].LinkVisits),
-		"new_linkvisits": float64(last.LinkVisits),
-		"classes":        float64(last.Classes),
-		"components":     float64(last.Components),
-	}
-}
-
-// runScaleAggregate races the per-flow reference against the flow-class
-// kernel on a 256-node world and demands a >= 10x work reduction with
-// bit-identical results.
+// runScaleAggregate runs the flow-class kernel once on the 256-node world
+// and pins its absolute work.
 func runScaleAggregate(ctx *scenario.Ctx) ScaleKernelResult {
 	const nodes = 256
-	base := netsim.DefaultConfig()
-	agg := base
-	agg.Aggregate = true
 	return ScaleKernelResult{
 		Nodes: nodes,
-		Arms: []ScaleArm{
-			runScaleArm(ctx, nodes, scaleFlowsPerPair, base, "per-flow"),
-			runScaleArm(ctx, nodes, scaleFlowsPerPair, agg, "aggregated"),
-		},
-		WantRatio:      10,
-		WantComponents: scaleComponents(nodes),
+		Arms:  []ScaleArm{runScaleArm(ctx, nodes, scaleFlowsPerPair, netsim.DefaultConfig(), "class")},
 	}
 }
 
@@ -233,92 +193,86 @@ func runScaleAggregate(ctx *scenario.Ctx) ScaleKernelResult {
 // one component per gang available to fill concurrently.
 func runScaleParallel(ctx *scenario.Ctx) ScaleKernelResult {
 	const nodes = 256
-	agg := netsim.DefaultConfig()
-	agg.Aggregate = true
-	par := agg
+	serial := netsim.DefaultConfig()
+	par := serial
 	par.SettleWorkers = 8
 	return ScaleKernelResult{
 		Nodes: nodes,
 		Arms: []ScaleArm{
-			runScaleArm(ctx, nodes, scaleFlowsPerPair, agg, "agg-serial"),
+			runScaleArm(ctx, nodes, scaleFlowsPerPair, serial, "agg-serial"),
 			runScaleArm(ctx, nodes, scaleFlowsPerPair, par, "agg-parallel-8"),
 		},
-		WantComponents: scaleComponents(nodes),
 	}
 }
 
-// ScaleSweepResult tracks the work ratio as the aggregation factor grows.
-// The gang world is embarrassingly parallel, so world size alone scales
-// both kernels linearly; what the class kernel actually wins on is the
-// number of flows per identical chain — QPs times in-flight chunks, the
-// axis real workloads scale along. More members per class means the
-// per-flow kernel revisits ever more flows per recompute while the class
-// kernel's pass stays one visit per chain.
+// ScaleSweepResult tracks the class kernel's work as the aggregation
+// factor grows. The gang world is embarrassingly parallel, so world size
+// alone scales work linearly; the axis real workloads scale along is the
+// number of flows per identical chain — QPs times in-flight chunks. More
+// members per class add completion waves (recomputes) but no per-recompute
+// work: each pass stays one visit per chain.
 type ScaleSweepResult struct {
-	Members  []int // flows per ring edge
-	Flows    []int
-	Ratio    []float64
-	Mismatch string
+	Nodes int
+	Arms  []ScaleArm // one per flows-per-chain factor, ascending
 }
 
-// runScaleSweep runs both kernels at three aggregation factors on the
-// 256-node world.
+// scaleSweepMembers are the flows-per-chain factors the sweep runs.
+var scaleSweepMembers = []int{8, 32, 128}
+
+// runScaleSweep runs the 4-worker class kernel at each aggregation factor
+// on the 256-node world.
 func runScaleSweep(ctx *scenario.Ctx) ScaleSweepResult {
 	const nodes = 256
-	res := ScaleSweepResult{}
-	base := netsim.DefaultConfig()
-	agg := base
-	agg.Aggregate = true
-	agg.SettleWorkers = 4
-	for _, members := range []int{8, 32, 128} {
-		pf := runScaleArm(ctx, nodes, members, base, "per-flow")
-		ag := runScaleArm(ctx, nodes, members, agg, "aggregated")
-		if err := armDiverged(pf, ag); err != nil && res.Mismatch == "" {
-			res.Mismatch = fmt.Sprintf("%d members: %v", members, err)
-		}
-		res.Members = append(res.Members, members)
-		res.Flows = append(res.Flows, pf.Flows)
-		res.Ratio = append(res.Ratio, float64(pf.LinkVisits)/float64(ag.LinkVisits))
+	cfg := netsim.DefaultConfig()
+	cfg.SettleWorkers = 4
+	res := ScaleSweepResult{Nodes: nodes}
+	for _, members := range scaleSweepMembers {
+		res.Arms = append(res.Arms, runScaleArm(ctx, nodes, members, cfg, fmt.Sprintf("%d flows/chain", members)))
 	}
 	return res
+}
+
+// visitsPerRecompute is an arm's mean kernel work per recompute.
+func visitsPerRecompute(a ScaleArm) float64 {
+	return float64(a.LinkVisits) / float64(a.Recomputes)
 }
 
 // String renders the sweep.
 func (r ScaleSweepResult) String() string {
 	var sb strings.Builder
-	sb.WriteString("netsim kernel work ratio vs flows per chain (256-node world)\n")
-	rows := make([][]string, len(r.Members))
-	for i := range r.Members {
+	fmt.Fprintf(&sb, "netsim class-kernel work vs flows per chain (%d-node world)\n", r.Nodes)
+	rows := make([][]string, len(r.Arms))
+	for i, a := range r.Arms {
 		rows[i] = []string{
-			fmt.Sprintf("%d flows/chain", r.Members[i]),
-			fmt.Sprintf("%d", r.Flows[i]),
-			fmt.Sprintf("%.1fx", r.Ratio[i]),
+			a.Kernel,
+			fmt.Sprintf("%d", a.Flows),
+			fmt.Sprintf("%d", a.Recomputes),
+			fmt.Sprintf("%d", a.LinkVisits),
+			fmt.Sprintf("%.0f", visitsPerRecompute(a)),
+			fmt.Sprintf("%.3f s", a.Makespan.Seconds()),
 		}
 	}
-	sb.WriteString(metrics.Table([]string{"aggregation", "flows", "work ratio"}, rows))
-	if r.Mismatch != "" {
-		fmt.Fprintf(&sb, "KERNEL DIVERGENCE: %s\n", r.Mismatch)
-	}
+	sb.WriteString(metrics.Table([]string{"aggregation", "flows", "recomputes", "link visits", "visits/recompute", "makespan"}, rows))
 	return sb.String()
 }
 
-// CheckShape: no divergence at any point, the advantage strictly grows
-// with the aggregation factor, and the promised 10x holds from 32 flows
-// per chain up.
+// CheckShape: every factor completes all flows in one class per ring
+// edge, and per-recompute work stays flat while flows per chain grow 16x:
+// it must not even double, where a per-flow kernel's would grow with the
+// member count.
 func (r ScaleSweepResult) CheckShape() error {
-	if r.Mismatch != "" {
-		return fmt.Errorf("scale sweep: %s", r.Mismatch)
-	}
-	for i := 1; i < len(r.Ratio); i++ {
-		if r.Ratio[i] <= r.Ratio[i-1] {
-			return fmt.Errorf("scale sweep: ratio %.1fx at %d flows/chain not above %.1fx at %d",
-				r.Ratio[i], r.Members[i], r.Ratio[i-1], r.Members[i-1])
+	for _, a := range r.Arms {
+		if a.Completed != a.Flows {
+			return fmt.Errorf("scale sweep: %s completed %d of %d flows", a.Kernel, a.Completed, a.Flows)
+		}
+		if a.Classes != r.Nodes {
+			return fmt.Errorf("scale sweep: %s saw %d flow classes, want %d", a.Kernel, a.Classes, r.Nodes)
 		}
 	}
-	for i, members := range r.Members {
-		if members >= 32 && r.Ratio[i] < 10 {
-			return fmt.Errorf("scale sweep: ratio %.1fx at %d flows/chain, want >= 10x", r.Ratio[i], members)
-		}
+	first, last := r.Arms[0], r.Arms[len(r.Arms)-1]
+	if visitsPerRecompute(last) >= 2*visitsPerRecompute(first) {
+		return fmt.Errorf("scale sweep: %.0f link visits per recompute at %s, not below twice the %.0f at %s",
+			visitsPerRecompute(last), last.Kernel, visitsPerRecompute(first), first.Kernel)
 	}
 	return nil
 }
@@ -326,8 +280,10 @@ func (r ScaleSweepResult) CheckShape() error {
 // Metrics feeds the bench-regression baseline.
 func (r ScaleSweepResult) Metrics() map[string]float64 {
 	m := map[string]float64{}
-	for i, members := range r.Members {
-		m[fmt.Sprintf("ratio_m%d", members)] = r.Ratio[i]
+	for i, members := range scaleSweepMembers {
+		a := r.Arms[i]
+		m[fmt.Sprintf("linkvisits_m%d", members)] = float64(a.LinkVisits)
+		m[fmt.Sprintf("makespan_s_m%d", members)] = a.Makespan.Seconds()
 	}
 	return m
 }
@@ -339,17 +295,23 @@ func registerScale() {
 
 	reg(scenario.Scenario{
 		Name: "netsim/scale-aggregate", Group: "netsim",
-		Description: "flow-class kernel vs per-flow reference on a 256-node gang world",
-		Paper:       "kernel cost per recompute drops from O(flows x links) to O(classes + touched links), bit-identically",
+		Description: "flow-class kernel work on a 256-node gang world",
+		Paper:       "kernel cost per recompute is O(classes + touched links), not O(flows x links)",
 		Params:      map[string]string{"nodes": "256", "flows_per_pair": "32", "shape": "gang rings"},
 		Run:         func(c *scenario.Ctx) scenario.Result { return runScaleAggregate(c) },
 		Summarize: func(r scenario.Result) string {
-			res := r.(ScaleKernelResult)
-			return fmt.Sprintf("%.1fx less kernel work on %d flows, bit-identical makespan %.3fs",
-				res.WorkRatio(), res.Arms[0].Flows, res.Arms[0].Makespan.Seconds())
+			a := r.(ScaleKernelResult).Arms[0]
+			return fmt.Sprintf("%d flows in %d classes, %d link visits, makespan %.3fs",
+				a.Flows, a.Classes, a.LinkVisits, a.Makespan.Seconds())
 		},
 		Metrics: func(r scenario.Result) map[string]float64 {
-			return r.(ScaleKernelResult).Metrics()
+			a := r.(ScaleKernelResult).Arms[0]
+			return map[string]float64{
+				"makespan_s": a.Makespan.Seconds(),
+				"linkvisits": float64(a.LinkVisits),
+				"classes":    float64(a.Classes),
+				"components": float64(a.Components),
+			}
 		},
 	})
 	reg(scenario.Scenario{
@@ -375,15 +337,15 @@ func registerScale() {
 	})
 	reg(scenario.Scenario{
 		Name: "netsim/scale-sweep", Group: "netsim", Slow: true,
-		Description: "kernel work ratio as flows per chain grow from 8 to 128 on 256 nodes",
-		Paper:       "per-flow recompute cost grows with QPs x in-flight chunks; per-class cost does not",
+		Description: "class-kernel work as flows per chain grow from 8 to 128 on 256 nodes",
+		Paper:       "per-class recompute cost does not grow with QPs x in-flight chunks",
 		Params:      map[string]string{"nodes": "256", "flows_per_pair": "8,32,128"},
 		Run:         func(c *scenario.Ctx) scenario.Result { return runScaleSweep(c) },
 		Summarize: func(r scenario.Result) string {
 			res := r.(ScaleSweepResult)
-			last := len(res.Members) - 1
-			return fmt.Sprintf("ratio %.1fx at %d flows/chain up to %.1fx at %d",
-				res.Ratio[0], res.Members[0], res.Ratio[last], res.Members[last])
+			first, last := res.Arms[0], res.Arms[len(res.Arms)-1]
+			return fmt.Sprintf("%.0f link visits/recompute at %s, %.0f at %s",
+				visitsPerRecompute(first), first.Kernel, visitsPerRecompute(last), last.Kernel)
 		},
 		Metrics: func(r scenario.Result) map[string]float64 {
 			return r.(ScaleSweepResult).Metrics()

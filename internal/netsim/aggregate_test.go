@@ -8,27 +8,37 @@ import (
 	"c4/internal/topo"
 )
 
-// kernelConfigs are the three kernel variants every equivalence test runs:
-// the reference per-flow kernel, the flow-class kernel serial, and the
-// flow-class kernel with parallel component settle. All three must produce
-// bit-identical simulations.
-func kernelConfigs() []struct {
-	name string
-	cfg  Config
-} {
-	base := DefaultConfig()
-	agg := base
-	agg.Aggregate = true
-	par := agg
-	par.SettleWorkers = 4
-	return []struct {
-		name string
-		cfg  Config
-	}{
-		{"per-flow", base},
-		{"aggregated", agg},
-		{"parallel", par},
+// kernel is one of the three rate-kernel setups every equivalence test
+// runs: the per-flow reference oracle (reference_test.go), the flow-class
+// kernel serial, and the class kernel with parallel component settle. All
+// three must produce bit-identical simulations.
+type kernel struct {
+	name    string
+	oracle  bool
+	workers int
+}
+
+var kernels = []kernel{
+	{name: "oracle", oracle: true},
+	{name: "class"},
+	{name: "parallel", workers: 4},
+}
+
+// build creates a network on tp under the kernel setup.
+func (k kernel) build(eng *sim.Engine, tp *topo.Topology) *Network {
+	cfg := DefaultConfig()
+	cfg.SettleWorkers = k.workers
+	n := New(eng, tp, cfg)
+	if k.oracle {
+		useOracle(n)
 	}
+	return n
+}
+
+// testbed is the package testbed under the kernel setup.
+func (k kernel) testbed() (*sim.Engine, *Network) {
+	eng := sim.NewEngine()
+	return eng, k.build(eng, topo.MustNew(topo.PaperTestbed()))
 }
 
 // wtrace is the observable outcome of one simulated workload: completion
@@ -66,10 +76,9 @@ func (tr *wtrace) equal(other *wtrace) error {
 // kernel has — multi-member classes, shared bottlenecks, loss, capacity
 // degradation, a link failure with reroute, and a mid-flight cancel — and
 // returns its trace.
-func runWorkload(cfg Config) *wtrace {
-	eng := sim.NewEngine()
-	tp := topo.MustNew(topo.PaperTestbed())
-	n := New(eng, tp, cfg)
+func runWorkload(k kernel) *wtrace {
+	eng, n := k.testbed()
+	tp := n.Topo
 	tr := &wtrace{done: map[string]sim.Time{}, bits: map[string]float64{}}
 
 	finish := func(f *Flow) { tr.done[f.Label] = eng.Now() }
@@ -123,40 +132,26 @@ func runWorkload(cfg Config) *wtrace {
 }
 
 // TestKernelsEquivalentOnMixedWorkload is the core oath of the flow-class
-// rebuild: the aggregated kernel — serial or parallel — replays the
-// per-flow kernel byte for byte.
+// kernel: serial or parallel, it replays the per-flow oracle byte for
+// byte.
 func TestKernelsEquivalentOnMixedWorkload(t *testing.T) {
-	var ref *wtrace
-	for _, kc := range kernelConfigs() {
-		tr := runWorkload(kc.cfg)
-		if ref == nil {
-			ref = tr
-			continue
-		}
-		if err := tr.equal(ref); err != nil {
-			t.Fatalf("%s kernel diverged from per-flow: %v", kc.name, err)
+	ref := runWorkload(kernels[0])
+	for _, k := range kernels[1:] {
+		if err := runWorkload(k).equal(ref); err != nil {
+			t.Fatalf("%s kernel diverged from the oracle: %v", k.name, err)
 		}
 	}
 }
 
-func aggTestbed(workers int) (*sim.Engine, *Network) {
-	eng := sim.NewEngine()
-	tp := topo.MustNew(topo.PaperTestbed())
-	cfg := DefaultConfig()
-	cfg.Aggregate = true
-	cfg.SettleWorkers = workers
-	return eng, New(eng, tp, cfg)
-}
-
 // Cancelling one member mid-flight must shrink the class, not kill it:
 // the survivors keep flowing and the freed share speeds them up exactly
-// like the per-flow kernel says it should.
+// like the per-flow oracle says it should.
 func TestClassMemberCancelMidClass(t *testing.T) {
-	for _, kc := range kernelConfigs() {
-		eng := sim.NewEngine()
-		tp := topo.MustNew(topo.PaperTestbed())
-		n := New(eng, tp, kc.cfg)
-		p, _ := tp.PathFor(0, 4, 0, 0, 0, 0)
+	var refDone sim.Time
+	var refFired uint64
+	for _, k := range kernels {
+		eng, n := k.testbed()
+		p, _ := n.Topo.PathFor(0, 4, 0, 0, 0, 0)
 		var survivorDone sim.Time
 		doomed := n.StartFlow(p, 400e9, "doomed", func(f *Flow) { t.Error("cancelled flow completed") })
 		n.StartFlow(p, 400e9, "survivor", func(f *Flow) { survivorDone = eng.Now() })
@@ -165,51 +160,66 @@ func TestClassMemberCancelMidClass(t *testing.T) {
 		// 100 Gbps for 1s (200 shared by 2), then 200 Gbps for the last
 		// 300 Gb: done at ~2.5s.
 		if !almostEqual(survivorDone.Seconds(), 2.5, 0.01) {
-			t.Fatalf("[%s] survivor done at %v, want ~2.5s", kc.name, survivorDone)
+			t.Fatalf("[%s] survivor done at %v, want ~2.5s", k.name, survivorDone)
 		}
 		if n.ActiveFlows() != 0 {
-			t.Fatalf("[%s] %d active flows left", kc.name, n.ActiveFlows())
+			t.Fatalf("[%s] %d active flows left", k.name, n.ActiveFlows())
+		}
+		if k.oracle {
+			refDone, refFired = survivorDone, eng.Fired()
+		} else if survivorDone != refDone || eng.Fired() != refFired {
+			t.Fatalf("[%s] survivor done at %v after %d events, oracle %v after %d",
+				k.name, survivorDone, eng.Fired(), refDone, refFired)
 		}
 	}
 }
 
 // Rerouting a member must split it out of its class into the class of the
-// new chain (created on demand) and merge it with any existing one.
+// new chain (created on demand) and merge it with any existing one, and
+// the split must not change the outcome relative to the oracle.
 func TestRerouteSplitsClass(t *testing.T) {
-	eng, n := aggTestbed(0)
-	tp := n.Topo
-	p, _ := tp.PathFor(0, 4, 0, 0, 0, 0)
-	alt, _ := tp.PathFor(0, 4, 0, 0, 1, 0)
-	a := n.StartFlow(p, 800e9, "a", nil)
-	n.StartFlow(p, 800e9, "b", nil)
-	eng.RunUntil(100 * sim.Millisecond)
-	if n.ClassCount() != 1 {
-		t.Fatalf("classes = %d, want 1 before the split", n.ClassCount())
-	}
-	n.Reroute(a, alt)
-	eng.RunUntil(200 * sim.Millisecond)
-	if n.ClassCount() != 2 {
-		t.Fatalf("classes = %d, want 2 after rerouting one member", n.ClassCount())
-	}
-	if a.class == nil || len(a.class.members) != 1 {
-		t.Fatal("rerouted flow must sit alone in the new chain's class")
-	}
-	// Rerouting back merges it into the surviving class again.
-	n.Reroute(a, p)
-	if n.ClassCount() != 1 || len(a.class.members) != 2 {
-		t.Fatalf("classes = %d (members %d), want the original class re-merged",
-			n.ClassCount(), len(a.class.members))
+	var ref [2]sim.Time
+	for _, k := range kernels {
+		eng, n := k.testbed()
+		tp := n.Topo
+		p, _ := tp.PathFor(0, 4, 0, 0, 0, 0)
+		alt, _ := tp.PathFor(0, 4, 0, 0, 1, 0)
+		var done [2]sim.Time
+		a := n.StartFlow(p, 800e9, "a", func(*Flow) { done[0] = eng.Now() })
+		n.StartFlow(p, 900e9, "b", func(*Flow) { done[1] = eng.Now() })
+		eng.RunUntil(100 * sim.Millisecond)
+		if n.ClassCount() != 1 {
+			t.Fatalf("[%s] classes = %d, want 1 before the split", k.name, n.ClassCount())
+		}
+		n.Reroute(a, alt)
+		eng.RunUntil(200 * sim.Millisecond)
+		if n.ClassCount() != 2 {
+			t.Fatalf("[%s] classes = %d, want 2 after rerouting one member", k.name, n.ClassCount())
+		}
+		if a.class == nil || len(a.class.members) != 1 {
+			t.Fatalf("[%s] rerouted flow must sit alone in the new chain's class", k.name)
+		}
+		// Rerouting back merges it into the surviving class again.
+		n.Reroute(a, p)
+		if n.ClassCount() != 1 || len(a.class.members) != 2 {
+			t.Fatalf("[%s] classes = %d (members %d), want the original class re-merged",
+				k.name, n.ClassCount(), len(a.class.members))
+		}
+		eng.Run()
+		if k.oracle {
+			ref = done
+		} else if done != ref {
+			t.Fatalf("[%s] completions %v, oracle %v", k.name, done, ref)
+		}
 	}
 }
 
 // A link failure must fan OnPathDown out to every member of every class
-// crossing it, in flow admission order, exactly like the per-flow path.
+// crossing it, in flow admission order, exactly like the per-flow oracle.
 func TestOnPathDownFansOutToMembers(t *testing.T) {
-	for _, kc := range kernelConfigs() {
-		eng := sim.NewEngine()
-		tp := topo.MustNew(topo.PaperTestbed())
-		n := New(eng, tp, kc.cfg)
-		p, _ := tp.PathFor(0, 4, 0, 0, 0, 0)
+	for _, k := range kernels {
+		eng, n := k.testbed()
+		p, _ := n.Topo.PathFor(0, 4, 0, 0, 0, 0)
 		var notified []string
 		for i := 0; i < 5; i++ {
 			f := n.StartFlow(p, 1e12, fmt.Sprintf("m%d", i), nil)
@@ -219,11 +229,11 @@ func TestOnPathDownFansOutToMembers(t *testing.T) {
 		eng.RunUntil(2 * sim.Second)
 		want := []string{"m0", "m1", "m2", "m3", "m4"}
 		if len(notified) != len(want) {
-			t.Fatalf("[%s] %d notifications, want %d", kc.name, len(notified), len(want))
+			t.Fatalf("[%s] %d notifications, want %d", k.name, len(notified), len(want))
 		}
 		for i := range want {
 			if notified[i] != want[i] {
-				t.Fatalf("[%s] notification order %v, want %v", kc.name, notified, want)
+				t.Fatalf("[%s] notification order %v, want %v", k.name, notified, want)
 			}
 		}
 	}
@@ -233,7 +243,7 @@ func TestOnPathDownFansOutToMembers(t *testing.T) {
 // is cancelled the class table is empty, not leaking one entry per chain
 // ever seen.
 func TestClassLifecycle(t *testing.T) {
-	eng, n := aggTestbed(0)
+	eng, n := testbed()
 	tp := n.Topo
 	p, _ := tp.PathFor(0, 2, 0, 0, 0, 0)
 	q, _ := tp.PathFor(4, 6, 1, 1, 1, 1)
@@ -254,18 +264,63 @@ func TestClassLifecycle(t *testing.T) {
 	}
 }
 
-// ForceAggregate is the replay-test plumbing: it must override the kernel
-// selection of every subsequently built Network until restored.
-func TestForceAggregate(t *testing.T) {
-	restore := ForceAggregate(3)
+// gangRun is the observable outcome and kernel work of one run of the
+// gang-ring world (bench_test.go) to completion.
+type gangRun struct {
+	makespan   sim.Time
+	fired      uint64
+	probe      float64 // carried bits on node 0's rail-0/plane-0 uplink
+	linkVisits uint64
+}
+
+func runGang(tb testing.TB, k kernel, nodes, flowsPerPair int) gangRun {
 	eng := sim.NewEngine()
-	n := New(eng, topo.MustNew(topo.PaperTestbed()), DefaultConfig())
-	if !n.Cfg.Aggregate || n.Cfg.SettleWorkers != 3 {
-		t.Fatalf("forced kernel not applied: %+v", n.Cfg)
+	tp := topo.MustNew(benchSpec(nodes))
+	n := k.build(eng, tp)
+	startGangRings(n, tp, flowsPerPair)
+	eng.Run()
+	if n.ActiveFlows() != 0 {
+		tb.Fatalf("[%s] %d flows never completed", k.name, n.ActiveFlows())
 	}
-	restore()
-	n2 := New(sim.NewEngine(), topo.MustNew(topo.PaperTestbed()), DefaultConfig())
-	if n2.Cfg.Aggregate {
-		t.Fatal("restore did not clear the forced kernel")
+	return gangRun{
+		makespan:   eng.Now(),
+		fired:      eng.Fired(),
+		probe:      n.CarriedBits(tp.PortAt(0, 0, 0).Up),
+		linkVisits: n.Stats().LinkVisits,
+	}
+}
+
+// TestClassKernelScalesAgainstOracle holds the class kernel's promise on a
+// 256-node gang world: bit-identical to the per-flow oracle, serial and
+// parallel, with at least 10x fewer link visits from 32 flows per chain
+// up, and an advantage that grows with flows per chain — the per-flow
+// kernel revisits every member each recompute, the class kernel one
+// representative per chain.
+func TestClassKernelScalesAgainstOracle(t *testing.T) {
+	if testing.Short() {
+		t.Skip("256-node oracle sweep")
+	}
+	const nodes = 256
+	prev := 0.0
+	for _, members := range []int{8, 32, 128} {
+		ref := runGang(t, kernels[0], nodes, members)
+		var class gangRun
+		for _, k := range kernels[1:] {
+			got := runGang(t, k, nodes, members)
+			if got.makespan != ref.makespan || got.fired != ref.fired || got.probe != ref.probe {
+				t.Fatalf("%d flows/chain: %s kernel (makespan %v, %d events, probe %g) diverged from the oracle (%v, %d, %g)",
+					members, k.name, got.makespan, got.fired, got.probe, ref.makespan, ref.fired, ref.probe)
+			}
+			class = got
+		}
+		ratio := float64(ref.linkVisits) / float64(class.linkVisits)
+		t.Logf("%3d flows/chain: oracle %d vs class %d link visits (%.1fx)", members, ref.linkVisits, class.linkVisits, ratio)
+		if members >= 32 && ratio < 10 {
+			t.Errorf("%d flows/chain: work ratio %.1fx, want >= 10x", members, ratio)
+		}
+		if ratio <= prev {
+			t.Errorf("%d flows/chain: work ratio %.1fx not above %.1fx at the previous factor", members, ratio, prev)
+		}
+		prev = ratio
 	}
 }

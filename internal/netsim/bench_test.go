@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"c4/internal/sim"
 	"c4/internal/topo"
 )
 
@@ -53,42 +52,29 @@ func startGangRings(n *Network, tp *topo.Topology, flowsPerPair int) int {
 	return flows
 }
 
-func runGangWorld(b *testing.B, cfg Config, nodes, flowsPerPair int) {
+func runGangWorld(b *testing.B, k kernel, nodes, flowsPerPair int) {
 	b.ReportAllocs()
 	var visits uint64
 	for i := 0; i < b.N; i++ {
-		eng := sim.NewEngine()
-		tp := topo.MustNew(benchSpec(nodes))
-		n := New(eng, tp, cfg)
-		startGangRings(n, tp, flowsPerPair)
-		eng.Run()
-		if n.ActiveFlows() != 0 {
-			b.Fatalf("%d flows never completed", n.ActiveFlows())
-		}
-		visits += n.Stats().LinkVisits
+		visits += runGang(b, k, nodes, flowsPerPair).linkVisits
 	}
 	b.ReportMetric(float64(visits)/float64(b.N), "linkvisits/run")
 }
 
-// BenchmarkRecomputePerFlow is the reference kernel on a 64-node world:
-// every recompute scans all flows and the dense link-ID space.
+// BenchmarkRecomputePerFlow is the per-flow reference oracle on a 64-node
+// world: every recompute scans all flows and the dense link-ID space.
 func BenchmarkRecomputePerFlow(b *testing.B) {
-	runGangWorld(b, DefaultConfig(), 64, 16)
+	runGangWorld(b, kernels[0], 64, 16)
 }
 
 // BenchmarkRecomputeAggregated is the same workload through the
 // flow-class kernel: 16 flows per ring edge cost one class.
 func BenchmarkRecomputeAggregated(b *testing.B) {
-	cfg := DefaultConfig()
-	cfg.Aggregate = true
-	runGangWorld(b, cfg, 64, 16)
+	runGangWorld(b, kernels[1], 64, 16)
 }
 
 // BenchmarkSettleParallel adds parallel component settle on top of
 // aggregation: the 8 gangs fill on 4 workers.
 func BenchmarkSettleParallel(b *testing.B) {
-	cfg := DefaultConfig()
-	cfg.Aggregate = true
-	cfg.SettleWorkers = 4
-	runGangWorld(b, cfg, 64, 16)
+	runGangWorld(b, kernels[2], 64, 16)
 }

@@ -2,7 +2,6 @@ package netsim
 
 import (
 	"math"
-	"sync/atomic"
 
 	"c4/internal/sim"
 	"c4/internal/topo"
@@ -23,10 +22,11 @@ import (
 // Cancel, Reroute, OnPathDown and per-member OnComplete callbacks are
 // untouched, settle still advances each member's remaining bits
 // individually (members may differ in size), and the arithmetic is
-// arranged so the allocations match the per-flow kernel bit for bit —
-// per-member capacity subtraction with per-step clamping rather than one
-// fused multiply, so repeated subtraction of the same bottleneck share
-// rounds exactly like the reference loop.
+// arranged so the allocations match per-flow progressive filling bit for
+// bit — per-member capacity subtraction with per-step clamping rather than
+// one fused multiply, so repeated subtraction of the same bottleneck share
+// rounds exactly like a flow-by-flow loop. The package tests hold the
+// kernel to a per-flow reference oracle (reference_test.go).
 
 // flowClass is the unit of aggregated allocation: every admitted flow
 // whose path has an identical link chain.
@@ -45,34 +45,14 @@ type flowClass struct {
 	span *trace.Span // class-lifetime span; nil when tracing is off
 }
 
-// forcedKernel, when nonzero, overrides Config.Aggregate in New: bit 0 set
-// means aggregate, bits 8+ carry SettleWorkers. It exists for the
-// deterministic-replay tests, which rerun whole scenario families —
-// code that builds its own Network internally — through the aggregated
-// kernel and compare renderings byte for byte against the committed
-// per-flow behavior.
-var forcedKernel atomic.Int64
-
-// ForceAggregate turns the flow-class kernel on for every Network created
-// until the returned restore function is called, with the given parallel
-// settle width (<= 1 serial). It is test plumbing, not API: production
-// callers select the kernel per-Network via Config.
-func ForceAggregate(workers int) (restore func()) {
-	prev := forcedKernel.Swap(1 | int64(workers)<<8)
-	return func() { forcedKernel.Store(prev) }
-}
-
 // classAdmit joins f to the class of its link chain, creating the class if
-// it is the chain's first member. No-op under the per-flow kernel. The
-// aggregation key is the path's dense link IDs packed little-endian: two
-// paths with equal keys cross exactly the same resources in the same order
-// and are indistinguishable to the kernel. The key is built in a reusable
-// byte buffer; Go's map lookup on string(buf) does not allocate, so only
-// the first member of a new chain pays for a string.
+// it is the chain's first member. The aggregation key is the path's dense
+// link IDs packed little-endian: two paths with equal keys cross exactly
+// the same resources in the same order and are indistinguishable to the
+// kernel. The key is built in a reusable byte buffer; Go's map lookup on
+// string(buf) does not allocate, so only the first member of a new chain
+// pays for a string.
 func (n *Network) classAdmit(f *Flow) {
-	if n.classIndex == nil {
-		return
-	}
 	b := n.classKey[:0]
 	for _, l := range f.Path.Links {
 		id := uint32(l.ID)
@@ -105,9 +85,6 @@ func classLabel(fc *flowClass) string {
 // creation order of n.classes, which the kernel iterates.
 func (n *Network) classRemove(f *Flow) {
 	fc := f.class
-	if fc == nil {
-		return
-	}
 	f.class = nil
 	for i, m := range fc.members {
 		if m == f {
@@ -127,11 +104,11 @@ func (n *Network) classRemove(f *Flow) {
 	}
 }
 
-// recomputeAggregated is the flow-class counterpart of recomputePerFlow:
-// classes register their links once, the touched links are partitioned
-// into connected components (parallel.go), and each component runs
-// progressive filling, the CNP pass, and the ETA pass independently —
-// serially or on a bounded worker pool, byte-identically either way.
+// recomputeAggregated is the rate kernel: classes register their links
+// once, the touched links are partitioned into connected components
+// (parallel.go), and each component runs progressive filling, the CNP
+// pass, and the ETA pass independently — serially or on a bounded worker
+// pool, byte-identically either way.
 func (n *Network) recomputeAggregated() {
 	n.scTouched = n.scTouched[:0]
 	for _, fc := range n.classes {
@@ -145,15 +122,14 @@ func (n *Network) recomputeAggregated() {
 			}
 		}
 		if !fc.alive {
-			// Stalled at rate 0, like the per-flow kernel's dead-path case:
-			// no capacity, no CNPs, no goodput until the path heals.
+			// Stalled at rate 0: no capacity, no CNPs, no goodput until the
+			// path heals.
 			fc.frozen = true
 			fc.rate = 0
 			for _, f := range fc.members {
 				f.rate = 0
 				f.cnpRate = 0
 				f.goodRate = 0
-				f.frozen = true
 			}
 			continue
 		}
@@ -194,9 +170,9 @@ func (n *Network) recomputeAggregated() {
 // into the network's stats during the deterministic merge.
 func (n *Network) fillComponent(c *component) {
 	// Progressive filling over classes. The inner per-member subtraction
-	// loop is deliberately NOT fused into one multiply: the reference
-	// kernel subtracts the bottleneck share once per flow with a clamp at
-	// zero, and only the same sequence of operations reproduces its
+	// loop is deliberately NOT fused into one multiply: the per-flow
+	// reference subtracts the bottleneck share once per flow with a clamp
+	// at zero, and only the same sequence of operations reproduces its
 	// floating-point results exactly.
 	unfrozen := 0
 	for _, fc := range c.classes {
@@ -259,7 +235,7 @@ func (n *Network) fillComponent(c *component) {
 	}
 
 	// CNP pass, class-wise. Adding a class's rate once per member mirrors
-	// the reference kernel's per-flow accumulation order closely enough to
+	// the per-flow reference's accumulation order closely enough to
 	// stay inside the saturation threshold's 1e-6 relative slack.
 	for _, id := range c.links {
 		n.scLoad[id] = 0
@@ -293,7 +269,7 @@ func (n *Network) fillComponent(c *component) {
 	// Fan the class results out to the members and find the component's
 	// earliest completion ETA. Members share rate, CNP rate, and goodput;
 	// only remaining bits differ, and min(remaining)/goodRate is the same
-	// monotone transform the per-flow kernel applies member-wise.
+	// monotone transform the per-flow reference applies member-wise.
 	c.eta = sim.MaxTime
 	for _, fc := range c.classes {
 		c.flowVisits++
@@ -312,7 +288,6 @@ func (n *Network) fillComponent(c *component) {
 		minRem := math.Inf(1)
 		for _, f := range fc.members {
 			f.rate = fc.rate
-			f.frozen = fc.frozen
 			f.cnpRate = cnp
 			f.goodRate = good
 			if f.remaining < minRem {

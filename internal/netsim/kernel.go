@@ -1,200 +1,27 @@
 package netsim
 
-import (
-	"math"
+import "c4/internal/sim"
 
-	"c4/internal/sim"
-)
-
-// This file holds the reference per-flow rate kernel. It is the oracle the
-// aggregated kernel (class.go) is proven against: every scenario family in
-// bench/baseline.json runs through this code, and the aggregated kernel
-// must reproduce its allocations byte for byte on those workloads. Change
-// the two together or not at all.
+// This file holds the kernel's shared bookkeeping: the work counters and
+// the post-allocation steps (utilization snapshot, completion rearm).
 
 // KernelStats counts deterministic units of algorithmic work performed by
 // rate recomputation. LinkVisits counts per-link steps (bottleneck scans,
-// capacity updates, CNP bookkeeping); FlowVisits counts per-flow steps
-// under the per-flow kernel and per-class steps under the aggregated one —
-// which is exactly the quantity flow-class aggregation shrinks from
-// O(members) to O(classes). The counters are pure step counts, no
-// wall-clock, so they are byte-for-byte reproducible across runs and safe
-// to track in bench baselines.
+// capacity updates, CNP bookkeeping); FlowVisits counts per-class steps —
+// the quantity flow-class aggregation shrinks from O(flows) to O(classes).
+// The counters are pure step counts, no wall-clock, so they are
+// byte-for-byte reproducible across runs and safe to track in bench
+// baselines.
 type KernelStats struct {
 	Recomputes uint64
 	LinkVisits uint64
 	FlowVisits uint64
 }
 
-// recomputePerFlow allocates rates flow by flow. All bookkeeping lives in
-// slice-indexed scratch buffers reused across calls: this routine runs
-// once per flow-set change and dominates the simulator's CPU profile, so
-// it must not hash or allocate per link.
-func (n *Network) recomputePerFlow() {
-	n.scTouched = n.scTouched[:0]
-	unfrozen := 0
-	for _, f := range n.flows {
-		n.stats.FlowVisits++
-		n.stats.LinkVisits += uint64(len(f.Path.Links))
-		f.rate = 0
-		alive := true
-		for _, l := range f.Path.Links {
-			if !l.Up() {
-				alive = false
-				break
-			}
-		}
-		if !alive {
-			f.frozen = true // stalled at rate 0
-			continue
-		}
-		f.frozen = false
-		unfrozen++
-		for _, l := range f.Path.Links {
-			if !n.scSeen[l.ID] {
-				n.scSeen[l.ID] = true
-				n.scCap[l.ID] = l.Gbps * Gbps
-				n.scCount[l.ID] = 0
-				n.scFlows[l.ID] = n.scFlows[l.ID][:0]
-				n.scTouched = append(n.scTouched, l.ID)
-			}
-			n.scCount[l.ID]++
-			n.scFlows[l.ID] = append(n.scFlows[l.ID], f)
-		}
-	}
-
-	// Bottleneck scanning must visit links in a deterministic order; link
-	// IDs are dense indices, so walking the whole ID space ascending and
-	// skipping untouched entries is both ordered and cheaper than sorting
-	// the touched list on every recompute.
-	nl := len(n.scSeen)
-	for unfrozen > 0 {
-		// Find the tightest link.
-		best := math.Inf(1)
-		n.stats.LinkVisits += uint64(nl)
-		for id := 0; id < nl; id++ {
-			if !n.scSeen[id] || n.scCount[id] <= 0 {
-				continue
-			}
-			share := n.scCap[id] / float64(n.scCount[id])
-			if share < best {
-				best = share
-			}
-		}
-		if math.IsInf(best, 1) {
-			break // remaining flows cross no capacity-bearing links
-		}
-		// Freeze every unfrozen flow on links at the bottleneck share.
-		progressed := false
-		n.stats.LinkVisits += uint64(nl)
-		for id := 0; id < nl; id++ {
-			if !n.scSeen[id] || n.scCount[id] <= 0 {
-				continue
-			}
-			share := n.scCap[id] / float64(n.scCount[id])
-			if share > best*(1+rateEpsilon) {
-				continue
-			}
-			for _, f := range n.scFlows[id] {
-				if f.frozen {
-					continue
-				}
-				n.stats.FlowVisits++
-				n.stats.LinkVisits += uint64(len(f.Path.Links))
-				f.rate = best
-				f.frozen = true
-				unfrozen--
-				progressed = true
-				for _, l := range f.Path.Links {
-					n.scCap[l.ID] -= best
-					if n.scCap[l.ID] < 0 {
-						n.scCap[l.ID] = 0
-					}
-					n.scCount[l.ID]--
-				}
-			}
-		}
-		if !progressed {
-			break
-		}
-	}
-
-	// CNP rates: saturated links with contention emit notifications toward
-	// every sender crossing them. A single flow at line rate builds no
-	// queue in the fluid model, so saturation requires ≥2 competing flows.
-	for _, id := range n.scTouched {
-		n.scLoad[id] = 0
-		n.scLoadCnt[id] = 0
-	}
-	for _, f := range n.flows {
-		if f.rate <= 0 {
-			continue
-		}
-		n.stats.FlowVisits++
-		n.stats.LinkVisits += uint64(len(f.Path.Links))
-		for _, l := range f.Path.Links {
-			n.scLoad[l.ID] += f.rate
-			n.scLoadCnt[l.ID]++
-		}
-	}
-	n.stats.LinkVisits += uint64(len(n.scTouched))
-	for _, id := range n.scTouched {
-		n.scFactor[id] = 0
-		capBits := n.linkCap(id)
-		if n.scLoadCnt[id] >= 2 && capBits > 0 && n.scLoad[id] >= capBits*(1-1e-6) {
-			n.scFactor[id] = float64(n.scLoadCnt[id]-1) / float64(n.scLoadCnt[id])
-		}
-	}
-	for _, f := range n.flows {
-		n.stats.FlowVisits++
-		n.stats.LinkVisits += uint64(len(f.Path.Links))
-		f.cnpRate = 0
-		loss := 1.0
-		for _, l := range f.Path.Links {
-			if factor := n.scFactor[l.ID]; factor > 0 {
-				f.cnpRate += n.Cfg.CNPPerSecond * factor
-			}
-			if fr := n.lossFrac[l.ID]; fr > 0 {
-				loss *= 1 - fr
-			}
-		}
-		f.goodRate = f.rate * loss
-	}
-	n.snapshotUtil()
-	// Restore the between-calls invariant: scSeen and scFactor all zero, so
-	// links untouched by the next flow set read as absent, not stale.
-	for _, id := range n.scTouched {
-		n.scSeen[id] = false
-		n.scFactor[id] = 0
-	}
-
-	// Reschedule the next completion: the earliest ETA across all moving
-	// flows. Round up by 1 ns: FromSeconds truncates, and an ETA that
-	// lands a sub-nanosecond early would re-fire at the same instant with
-	// zero progress. Overshoot is harmless — settle clamps delivery to the
-	// remaining bits, so at the scheduled instant the finishing flows sit
-	// at exactly zero remaining.
-	minEta := sim.MaxTime
-	for _, f := range n.flows {
-		n.stats.FlowVisits++
-		if f.goodRate <= 0 {
-			continue
-		}
-		eta := sim.FromSeconds(f.remaining/f.goodRate) + 1
-		if eta < 1 {
-			eta = 1
-		}
-		if eta < minEta {
-			minEta = eta
-		}
-	}
-	n.rearmCompletion(minEta)
-}
-
 // snapshotUtil copies the aggregate allocated rate per touched link out of
 // the CNP-pass scratch into the persistent utilization snapshot that
 // Utilization serves, clearing links touched by the previous flow set but
-// not this one. Both kernels call it with scLoad/scTouched populated.
+// not this one. The kernel calls it with scLoad/scTouched populated.
 func (n *Network) snapshotUtil() {
 	for _, id := range n.utilLinks {
 		n.utilRate[id] = 0

@@ -14,16 +14,16 @@
 // recompute first, so observers inside event callbacks never see stale
 // rates.
 //
-// Two interchangeable kernels implement the recompute. The per-flow kernel
-// is the reference: progressive filling over every flow and the dense link
-// space. The flow-class kernel (Config.Aggregate) collapses flows with
-// identical link chains into one fluid class with a member count and
-// partitions the touched links into independent components that can settle
-// on a worker pool (Config.SettleWorkers). Both knobs are pure performance:
-// every kernel configuration must reproduce the reference bit for bit —
-// same rates, same completion instants, same event counts — a rule the
-// package's equivalence tests, the accl collective tests, and the harness
-// family replays enforce, and the committed bench baseline pins.
+// The recompute is a flow-class kernel (class.go). It collapses flows with
+// identical link chains into one fluid class with a member count, so its
+// cost scales with the number of distinct paths rather than the number of
+// flows — the shape of collective traffic, a few long-lived flows on
+// predictable, identical chains. It then partitions the touched links into
+// independent components that can settle on a worker pool
+// (Config.SettleWorkers, parallel.go). The class kernel reproduces
+// per-flow progressive filling bit for bit — same rates, same completion
+// instants, same event counts — and the package's tests hold it to a
+// per-flow reference oracle kept in test code.
 package netsim
 
 import (
@@ -52,19 +52,10 @@ type Config struct {
 	// CNP/s per bonded port of the paper's Fig 11.
 	CNPPerSecond float64
 
-	// Aggregate selects the flow-class kernel: concurrent flows sharing an
-	// identical link chain are allocated as one fluid class with a member
-	// count, so recompute cost scales with the number of distinct paths
-	// instead of the number of flows (see class.go). Off by default; the
-	// per-flow kernel remains the reference implementation and the
-	// allocations are identical either way, so this is purely a
-	// performance knob for large worlds.
-	Aggregate bool
 	// SettleWorkers bounds the goroutines used to run progressive filling
 	// over independent link components concurrently (see parallel.go).
-	// Values <= 1 mean serial. Only the aggregated kernel consults it;
-	// results are byte-identical to a serial run because components share
-	// no links, classes, or scratch entries.
+	// Values <= 1 mean serial. Results are byte-identical to a serial run
+	// because components share no links, classes, or scratch entries.
 	SettleWorkers int
 }
 
@@ -97,8 +88,7 @@ type Flow struct {
 	started   sim.Time
 	admitted  bool
 	done      bool
-	frozen    bool       // scratch flag used during max-min filling
-	class     *flowClass // aggregation class; nil under the per-flow kernel
+	class     *flowClass // the class of the flow's link chain while admitted
 	admitEv   *sim.Event
 	span      *trace.Span // flow-lifetime span; nil when tracing is off
 }
@@ -143,9 +133,9 @@ type Network struct {
 	pending *sim.Event // scheduled recompute, nil if none
 	dirty   bool       // flow set or link state changed since last recompute
 
-	// Flow-class aggregation state (aggregated kernel only, see class.go):
-	// classes in creation order for deterministic kernel iteration, plus a
-	// key index for O(1) membership on admit/reroute.
+	// Flow-class state (see class.go): classes in creation order for
+	// deterministic kernel iteration, plus a key index for O(1) membership
+	// on admit/reroute.
 	classes    []*flowClass
 	classIndex map[string]*flowClass
 	classKey   []byte // scratch for key building
@@ -176,8 +166,7 @@ type Network struct {
 	// per-call maps that otherwise dominate the simulator's CPU profile.
 	scCap     []float64      // remaining capacity during progressive filling
 	scCount   []int          // unfrozen flows on the link
-	scFlows   [][]*Flow      // flows crossing the link (per-flow kernel)
-	scClasses [][]*flowClass // classes crossing the link (aggregated kernel)
+	scClasses [][]*flowClass // classes crossing the link
 	scSeen    []bool         // link appears in scTouched
 	scLoad    []float64      // aggregate allocated rate (CNP pass)
 	scLoadCnt []int          // allocated flows on the link (CNP pass)
@@ -198,21 +187,21 @@ type Network struct {
 	// (see parallel.go).
 	ufParent  []int32
 	compSlot  []int32
-	sortedIDs []int
 	compPool  []*component
 	lastComps int
 
 	stats KernelStats
+
+	// refKernel, when non-nil, replaces the flow-class kernel in
+	// recomputeNow. Production leaves it nil; the package tests set it to
+	// the per-flow reference oracle the class kernel is proven against.
+	refKernel func()
 }
 
 // New creates a simulator bound to an engine and fabric.
 func New(eng *sim.Engine, t *topo.Topology, cfg Config) *Network {
-	if v := forcedKernel.Load(); v != 0 {
-		cfg.Aggregate = true
-		cfg.SettleWorkers = int(v >> 8)
-	}
 	nl := len(t.Links)
-	n := &Network{
+	return &Network{
 		Engine:      eng,
 		Topo:        t,
 		Cfg:         cfg,
@@ -221,21 +210,17 @@ func New(eng *sim.Engine, t *topo.Topology, cfg Config) *Network {
 		lossFrac:    make([]float64, nl),
 		scCap:       make([]float64, nl),
 		scCount:     make([]int, nl),
-		scFlows:     make([][]*Flow, nl),
+		scClasses:   make([][]*flowClass, nl),
 		scSeen:      make([]bool, nl),
 		scLoad:      make([]float64, nl),
 		scLoadCnt:   make([]int, nl),
 		scFactor:    make([]float64, nl),
 		flowsOn:     make([]int, nl),
 		utilRate:    make([]float64, nl),
+		classIndex:  make(map[string]*flowClass),
+		ufParent:    make([]int32, nl),
+		compSlot:    make([]int32, nl),
 	}
-	if n.Cfg.Aggregate {
-		n.classIndex = make(map[string]*flowClass)
-		n.scClasses = make([][]*flowClass, nl)
-		n.ufParent = make([]int32, nl)
-		n.compSlot = make([]int32, nl)
-	}
-	return n
 }
 
 // StartFlow submits a transfer of sizeBits along path. onComplete may be
@@ -304,8 +289,8 @@ func (n *Network) Cancel(f *Flow) {
 }
 
 // Reroute moves a live flow onto a new path; remaining bits carry over.
-// Under the aggregated kernel the flow leaves its current class and joins
-// (or creates) the class of the new link chain.
+// The flow leaves its current class and joins (or creates) the class of
+// the new link chain.
 func (n *Network) Reroute(f *Flow, path *topo.Path) {
 	if f.done {
 		return
@@ -426,13 +411,13 @@ func (n *Network) Utilization(l *topo.Link) float64 {
 // byte-for-byte reproducible and safe to track in bench baselines.
 func (n *Network) Stats() KernelStats { return n.stats }
 
-// ClassCount reports the number of live flow classes (0 under the
-// per-flow kernel).
+// ClassCount reports the number of live flow classes: distinct link
+// chains among the admitted flows.
 func (n *Network) ClassCount() int { return len(n.classes) }
 
 // ComponentCount reports how many independent link components the last
-// aggregated recompute partitioned the traffic into (0 under the per-flow
-// kernel) — the available parallelism for SettleWorkers.
+// recompute partitioned the traffic into — the available parallelism for
+// SettleWorkers.
 func (n *Network) ComponentCount() int { return n.lastComps }
 
 func (n *Network) remove(f *Flow) {
@@ -513,19 +498,17 @@ func (n *Network) recompute() {
 }
 
 // recomputeNow performs max-min fair allocation (progressive filling)
-// across all admitted flows and reschedules the completion event, through
-// one of two kernels producing identical allocations: the reference
-// per-flow kernel (kernel.go) or the flow-class kernel (class.go,
-// parallel.go) selected by Config.Aggregate.
+// across all admitted flows through the flow-class kernel (class.go,
+// parallel.go) and reschedules the completion event.
 func (n *Network) recomputeNow() {
 	n.settle()
 	n.dirty = false
 	n.stats.Recomputes++
-	if n.Cfg.Aggregate {
-		n.recomputeAggregated()
-	} else {
-		n.recomputePerFlow()
+	if n.refKernel != nil {
+		n.refKernel()
+		return
 	}
+	n.recomputeAggregated()
 }
 
 func (n *Network) linkCap(id int) float64 {

@@ -1,7 +1,6 @@
 package netsim
 
 import (
-	"sort"
 	"sync"
 
 	"c4/internal/sim"
@@ -59,34 +58,20 @@ func (n *Network) partition() []*component {
 		}
 	}
 
-	n.sortedIDs = append(n.sortedIDs[:0], n.scTouched...)
-	sort.Ints(n.sortedIDs)
+	// Walk the dense link-ID space ascending instead of sorting
+	// scTouched: the representative is its component's smallest link, so
+	// it is reached before any other member and numbers the component.
 	comps := n.compPool[:0]
-	for _, id := range n.sortedIDs {
-		n.compSlot[id] = -1
-	}
-	for _, id := range n.sortedIDs {
-		root := n.ufFind(int32(id))
-		slot := n.compSlot[root]
-		if slot < 0 {
-			slot = int32(len(comps))
-			n.compSlot[root] = slot
-			if len(comps) < cap(comps) {
-				// Recycle the pooled component and its slice capacity.
-				comps = comps[:len(comps)+1]
-				if c := comps[slot]; c != nil {
-					c.links = c.links[:0]
-					c.classes = c.classes[:0]
-					c.eta = 0
-					c.linkVisits, c.flowVisits = 0, 0
-				} else {
-					comps[slot] = &component{}
-				}
-			} else {
-				comps = append(comps, &component{})
-			}
+	for id := range n.scSeen {
+		if !n.scSeen[id] {
+			continue
 		}
-		c := comps[slot]
+		root := n.ufFind(int32(id))
+		if root == int32(id) {
+			n.compSlot[id] = int32(len(comps))
+			comps = append(comps, nextComponent(comps))
+		}
+		c := comps[n.compSlot[root]]
 		c.links = append(c.links, id)
 	}
 	for _, fc := range n.classes {
@@ -98,6 +83,18 @@ func (n *Network) partition() []*component {
 	}
 	n.compPool = comps
 	return comps
+}
+
+// nextComponent returns an empty component for slot len(comps), recycling
+// the pooled one an earlier partition left there, slice capacity included.
+func nextComponent(comps []*component) *component {
+	if len(comps) < cap(comps) {
+		if c := comps[:len(comps)+1][len(comps)]; c != nil {
+			*c = component{links: c.links[:0], classes: c.classes[:0]}
+			return c
+		}
+	}
+	return &component{}
 }
 
 // ufFind resolves a link's component representative with path halving.

@@ -10,61 +10,67 @@ import (
 // Regression test for the read-path staleness bug: SetLinkCapacity batches
 // its rate recomputation into an After(0) event, so a reader in the same
 // virtual instant — but a later callback — used to observe pre-mutation
-// rates. Utilization must reflect the new capacity immediately.
+// rates. Utilization must reflect the new capacity immediately, under
+// every kernel setup.
 func TestUtilizationFreshAfterSameInstantCapacityChange(t *testing.T) {
-	eng, n := testbed()
-	p1, _ := n.Topo.PathFor(0, 4, 0, 0, 0, 0)
-	p2, _ := n.Topo.PathFor(2, 4, 0, 0, 1, 0)
-	shared := p1.DstPort.Down // both flows converge on node 4's down-link
-	n.StartFlow(p1, 800e9, "a", nil)
-	n.StartFlow(p2, 800e9, "b", nil)
-	var before, after float64
-	eng.Schedule(sim.Second, func() {
-		before = n.Utilization(shared)
-		n.SetLinkCapacity(shared, 100)
-		after = n.Utilization(shared)
-	})
-	eng.RunUntil(sim.Second)
-	if !almostEqual(before, 200e9, 1e6) {
-		t.Fatalf("pre-mutation utilization = %g, want 200e9", before)
-	}
-	if !almostEqual(after, 100e9, 1e6) {
-		t.Fatalf("same-instant post-mutation utilization = %g, want 100e9 (stale read)", after)
+	for _, k := range kernels {
+		eng, n := k.testbed()
+		p1, _ := n.Topo.PathFor(0, 4, 0, 0, 0, 0)
+		p2, _ := n.Topo.PathFor(2, 4, 0, 0, 1, 0)
+		shared := p1.DstPort.Down // both flows converge on node 4's down-link
+		n.StartFlow(p1, 800e9, "a", nil)
+		n.StartFlow(p2, 800e9, "b", nil)
+		var before, after float64
+		eng.Schedule(sim.Second, func() {
+			before = n.Utilization(shared)
+			n.SetLinkCapacity(shared, 100)
+			after = n.Utilization(shared)
+		})
+		eng.RunUntil(sim.Second)
+		if !almostEqual(before, 200e9, 1e6) {
+			t.Fatalf("[%s] pre-mutation utilization = %g, want 200e9", k.name, before)
+		}
+		if !almostEqual(after, 100e9, 1e6) {
+			t.Fatalf("[%s] same-instant post-mutation utilization = %g, want 100e9 (stale read)", k.name, after)
+		}
 	}
 }
 
 // A same-instant reader after a link failure must see the stalled rates,
 // and after StartFlow admission must see the admitted flow's allocation.
 func TestObservablesFreshAcrossSameInstantMutations(t *testing.T) {
-	eng, n := testbed()
-	p, _ := n.Topo.PathFor(0, 4, 0, 0, 0, 0)
-	up := p.SrcPort.Up
-	n.StartFlow(p, 800e9, "a", nil)
-	// Readback at the admission instant: the flow is admitted in an earlier
-	// callback of the same instant, its recompute still pending.
-	var atAdmit float64
-	eng.Schedule(n.Cfg.BaseLatency, func() { atAdmit = n.Utilization(up) })
-	var atFail float64
-	eng.Schedule(sim.Second, func() {
-		n.SetLinkUp(up, false)
-		atFail = n.Utilization(up)
-	})
-	eng.RunUntil(sim.Second)
-	if !almostEqual(atAdmit, 200e9, 1e6) {
-		t.Fatalf("utilization at admission instant = %g, want 200e9", atAdmit)
-	}
-	if atFail != 0 {
-		t.Fatalf("utilization in the failure callback = %g, want 0", atFail)
+	for _, k := range kernels {
+		eng, n := k.testbed()
+		p, _ := n.Topo.PathFor(0, 4, 0, 0, 0, 0)
+		up := p.SrcPort.Up
+		n.StartFlow(p, 800e9, "a", nil)
+		// Readback at the admission instant: the flow is admitted in an
+		// earlier callback of the same instant, its recompute still pending.
+		var atAdmit float64
+		eng.Schedule(n.Cfg.BaseLatency, func() { atAdmit = n.Utilization(up) })
+		var atFail float64
+		eng.Schedule(sim.Second, func() {
+			n.SetLinkUp(up, false)
+			atFail = n.Utilization(up)
+		})
+		eng.RunUntil(sim.Second)
+		if !almostEqual(atAdmit, 200e9, 1e6) {
+			t.Fatalf("[%s] utilization at admission instant = %g, want 200e9", k.name, atAdmit)
+		}
+		if atFail != 0 {
+			t.Fatalf("[%s] utilization in the failure callback = %g, want 0", k.name, atFail)
+		}
 	}
 }
 
 // CarriedBits read in the same instant as a capacity change must agree
 // with the (unchanged) pre-mutation delivery, and the flush that makes
 // that true must not disturb the run: a run with same-instant readers is
-// byte-identical (completion times and event counts) to one without.
+// byte-identical (completion times and event counts) to one without, and
+// the class kernels match the oracle's run.
 func TestReadPathFlushDoesNotPerturbRun(t *testing.T) {
-	run := func(withReaders bool) (done []sim.Time, fired uint64, bits float64) {
-		eng, n := testbed()
+	run := func(k kernel, withReaders bool) (done []sim.Time, fired uint64, bits float64) {
+		eng, n := k.testbed()
 		p1, _ := n.Topo.PathFor(0, 4, 0, 0, 0, 0)
 		p2, _ := n.Topo.PathFor(2, 4, 0, 0, 1, 0)
 		shared := p1.DstPort.Down
@@ -88,19 +94,23 @@ func TestReadPathFlushDoesNotPerturbRun(t *testing.T) {
 		eng.Run()
 		return done, eng.Fired(), bits
 	}
-	d1, f1, bits := run(true)
-	d2, f2, _ := run(false)
-	for i := range d1 {
-		if d1[i] != d2[i] {
-			t.Fatalf("flow %d completion %v with readers vs %v without", i, d1[i], d2[i])
+	ref, refFired, _ := run(kernels[0], false)
+	for _, k := range kernels {
+		d1, f1, bits := run(k, true)
+		d2, f2, _ := run(k, false)
+		for i := range d1 {
+			if d1[i] != d2[i] || d2[i] != ref[i] {
+				t.Fatalf("[%s] flow %d completion %v with readers vs %v without, oracle %v",
+					k.name, i, d1[i], d2[i], ref[i])
+			}
 		}
-	}
-	if f1 != f2 {
-		t.Fatalf("fired %d events with readers vs %d without", f1, f2)
-	}
-	// 2 flows at 100 Gbps each for ~1s minus 10µs admission latency.
-	if !almostEqual(bits, 200e9, 1e7) {
-		t.Fatalf("carried bits at mutation instant = %g, want ~200e9", bits)
+		if f1 != f2 || f2 != refFired {
+			t.Fatalf("[%s] fired %d events with readers vs %d without, oracle %d", k.name, f1, f2, refFired)
+		}
+		// 2 flows at 100 Gbps each for ~1s minus 10µs admission latency.
+		if !almostEqual(bits, 200e9, 1e7) {
+			t.Fatalf("[%s] carried bits at mutation instant = %g, want ~200e9", k.name, bits)
+		}
 	}
 }
 
