@@ -55,7 +55,8 @@ test-race:
 
 # The network kernel's parallel component settle under the race detector,
 # without -short: the netsim suite (equivalence against the per-flow
-# oracle, serial and on 4 workers, plus the 256-node oracle sweep), the
+# oracle, serial and on 4 workers, with the allocation invariant checker
+# armed after every recompute, plus the 256-node oracle sweep), the
 # engine heap tests and the pinned collective-level accl tests, then the
 # 256-node netsim/scale-* scenarios, which fill many components on worker
 # pools.
@@ -141,9 +142,11 @@ ci: lint build test test-race kernel-race tenancy-smoke telemetry-smoke plan-smo
 # Microbenchmarks, including the incremental-vs-full-recompute pair
 # (internal/telemetry: BenchmarkIncrementalObserve vs
 # BenchmarkBatchAnalyzePass) behind the online/scale-sweep scenario and
-# the network-kernel trio (internal/netsim: the per-flow test oracle,
-# BenchmarkRecomputePerFlow, vs the flow-class kernel serial,
-# BenchmarkRecomputeAggregated, and on 4 workers, BenchmarkSettleParallel).
+# the network-kernel benchmarks (internal/netsim: the per-flow test
+# oracle, BenchmarkRecomputePerFlow, vs the flow-class kernel serial,
+# BenchmarkRecomputeAggregated, and on 4 workers, BenchmarkSettleParallel,
+# plus BenchmarkRecomputeChurn, single-flow churn across five components
+# that exercises the incremental component refill).
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' ./...
 

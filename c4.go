@@ -98,7 +98,7 @@ type (
 	// the flow-class kernel's parallel component settle (SettleWorkers).
 	NetConfig = netsim.Config
 	// KernelStats counts the network kernel's deterministic work
-	// (recomputes, link visits, flow visits).
+	// (recomputes, link visits, flow visits, component fills and reuses).
 	KernelStats = netsim.KernelStats
 )
 

@@ -380,15 +380,20 @@ per-flow progressive filling bit for bit:
   and the ETA pass cost O(classes), not O(flows). Per-flow semantics
   (StartFlow / Cancel / Reroute / OnPathDown, per-member completion
   callbacks) are untouched.
-- component settle (`+"`netsim.Config.SettleWorkers`"+`): touched links
-  partition into connected components via union-find and fill serially
-  or on a bounded worker pool; components are memory-disjoint and outputs
-  merge in deterministic order, so the parallel run is byte-identical to
-  serial (proved under -race in CI).
+- incremental component settle (`+"`netsim.Config.SettleWorkers`"+`):
+  the links the classes cross form connected components (union-find)
+  that persist across events. A recompute refills only the components a
+  mutation touched (a class grew or shrank, a SetLink* call landed on
+  one of their links, or a new or revived class crossed them) and keeps
+  the rest, re-deriving only their completion ETA. Fresh components fill
+  serially or on a bounded worker pool; components are memory-disjoint
+  and outputs merge in deterministic order, so the parallel run is
+  byte-identical to serial (proved under -race in CI).
 
-Work is scored in deterministic KernelStats link visits, pinned as
-absolute counters in the bench baseline. netsim/scale-aggregate pins the
-kernel's work, class and component census at 256 nodes;
+Work is scored in deterministic KernelStats link visits and component
+fills/reuses, pinned as absolute counters in the bench baseline.
+netsim/scale-aggregate pins the kernel's work, fills and reuses, class
+and component census at 256 nodes;
 netsim/scale-parallel pins the component decomposition and serial ==
 parallel; netsim/scale-sweep shows per-recompute work staying flat as
 flows per chain grow 16x. Equivalence to the per-flow reference (and the

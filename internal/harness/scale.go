@@ -15,9 +15,11 @@ import (
 // measured at datacenter scale. Each scenario drives the same
 // gang-partitioned world — groups of 8 nodes running ring traffic, the
 // communication shape of pure-DP training with gang scheduling — and pins
-// the kernel's absolute work: KernelStats link visits, the class and
-// component census, makespan and event count, all deterministic and safe
-// for the bench-regression baseline. Equivalence to the per-flow
+// the kernel's absolute work: KernelStats link visits and component
+// fills/reuses, the class and component census, makespan and event count,
+// all deterministic and safe for the bench-regression baseline. The reuse
+// count gates the incremental settle exactly: a kernel that fell back to
+// refilling every component would keep its makespan but lose its reuses. Equivalence to the per-flow
 // reference and the work reduction against it are proven by the netsim
 // package tests, where the reference lives.
 
@@ -59,8 +61,10 @@ type ScaleArm struct {
 	Events     uint64
 	Recomputes uint64
 	LinkVisits uint64
-	Classes    int // live flow classes mid-run
-	Components int // link components mid-run
+	Fills      uint64 // components filled from scratch
+	Reuses     uint64 // clean components kept across a recompute
+	Classes    int    // live flow classes mid-run
+	Components int    // link components mid-run
 }
 
 // runScaleArm builds a fresh engine, fabric and network under cfg, starts
@@ -107,6 +111,8 @@ func runScaleArm(ctx *scenario.Ctx, nodes, flowsPerPair int, cfg netsim.Config, 
 	st := n.Stats()
 	arm.Recomputes = st.Recomputes
 	arm.LinkVisits = st.LinkVisits
+	arm.Fills = st.ComponentFills
+	arm.Reuses = st.ComponentReuses
 	arm.Probe0 = n.CarriedBits(tp.PortAt(0, 0, 0).Up)
 	arm.Probe1 = n.CarriedBits(tp.PortAt(1, 0, 1).Up)
 	arm.Events = eng.Fired()
@@ -148,16 +154,18 @@ func (r ScaleKernelResult) String() string {
 			fmt.Sprintf("%.3f s", a.Makespan.Seconds()),
 			fmt.Sprintf("%d", a.Recomputes),
 			fmt.Sprintf("%d", a.LinkVisits),
+			fmt.Sprintf("%d/%d", a.Fills, a.Reuses),
 			fmt.Sprintf("%d", a.Classes),
 			fmt.Sprintf("%d", a.Components),
 		}
 	}
-	sb.WriteString(metrics.Table([]string{"kernel", "makespan", "recomputes", "link visits", "classes", "components"}, rows))
+	sb.WriteString(metrics.Table([]string{"kernel", "makespan", "recomputes", "link visits", "fills/reuses", "classes", "components"}, rows))
 	return sb.String()
 }
 
 // CheckShape: full completion, bit-identical observables across arms, one
-// class per ring edge and four components per gang.
+// class per ring edge, four components per gang, and clean components
+// reused across recomputes.
 func (r ScaleKernelResult) CheckShape() error {
 	ref := r.Arms[0]
 	for _, a := range r.Arms {
@@ -173,6 +181,9 @@ func (r ScaleKernelResult) CheckShape() error {
 		if want := scaleComponents(r.Nodes); a.Components != want {
 			return fmt.Errorf("%s saw %d link components, want %d (four per gang)",
 				a.Kernel, a.Components, want)
+		}
+		if a.Reuses == 0 {
+			return fmt.Errorf("%s reused no clean component in %d recomputes", a.Kernel, a.Recomputes)
 		}
 	}
 	return nil
@@ -249,10 +260,11 @@ func (r ScaleSweepResult) String() string {
 			fmt.Sprintf("%d", a.Recomputes),
 			fmt.Sprintf("%d", a.LinkVisits),
 			fmt.Sprintf("%.0f", visitsPerRecompute(a)),
+			fmt.Sprintf("%d/%d", a.Fills, a.Reuses),
 			fmt.Sprintf("%.3f s", a.Makespan.Seconds()),
 		}
 	}
-	sb.WriteString(metrics.Table([]string{"aggregation", "flows", "recomputes", "link visits", "visits/recompute", "makespan"}, rows))
+	sb.WriteString(metrics.Table([]string{"aggregation", "flows", "recomputes", "link visits", "visits/recompute", "fills/reuses", "makespan"}, rows))
 	return sb.String()
 }
 
@@ -283,6 +295,8 @@ func (r ScaleSweepResult) Metrics() map[string]float64 {
 	for i, members := range scaleSweepMembers {
 		a := r.Arms[i]
 		m[fmt.Sprintf("linkvisits_m%d", members)] = float64(a.LinkVisits)
+		m[fmt.Sprintf("component_fills_m%d", members)] = float64(a.Fills)
+		m[fmt.Sprintf("component_reuses_m%d", members)] = float64(a.Reuses)
 		m[fmt.Sprintf("makespan_s_m%d", members)] = a.Makespan.Seconds()
 	}
 	return m
@@ -301,16 +315,18 @@ func registerScale() {
 		Run:         func(c *scenario.Ctx) scenario.Result { return runScaleAggregate(c) },
 		Summarize: func(r scenario.Result) string {
 			a := r.(ScaleKernelResult).Arms[0]
-			return fmt.Sprintf("%d flows in %d classes, %d link visits, makespan %.3fs",
-				a.Flows, a.Classes, a.LinkVisits, a.Makespan.Seconds())
+			return fmt.Sprintf("%d flows in %d classes, %d link visits, %d/%d component fills/reuses, makespan %.3fs",
+				a.Flows, a.Classes, a.LinkVisits, a.Fills, a.Reuses, a.Makespan.Seconds())
 		},
 		Metrics: func(r scenario.Result) map[string]float64 {
 			a := r.(ScaleKernelResult).Arms[0]
 			return map[string]float64{
-				"makespan_s": a.Makespan.Seconds(),
-				"linkvisits": float64(a.LinkVisits),
-				"classes":    float64(a.Classes),
-				"components": float64(a.Components),
+				"makespan_s":       a.Makespan.Seconds(),
+				"linkvisits":       float64(a.LinkVisits),
+				"component_fills":  float64(a.Fills),
+				"component_reuses": float64(a.Reuses),
+				"classes":          float64(a.Classes),
+				"components":       float64(a.Components),
 			}
 		},
 	})

@@ -16,6 +16,7 @@ type kernel struct {
 	name    string
 	oracle  bool
 	workers int
+	bare    bool // no invariant checker: benchmarks time the kernel alone
 }
 
 var kernels = []kernel{
@@ -24,11 +25,15 @@ var kernels = []kernel{
 	{name: "parallel", workers: 4},
 }
 
-// build creates a network on tp under the kernel setup.
+// build creates a network on tp under the kernel setup, with the
+// invariant checker (invariants_test.go) armed unless k is bare.
 func (k kernel) build(eng *sim.Engine, tp *topo.Topology) *Network {
 	cfg := DefaultConfig()
 	cfg.SettleWorkers = k.workers
 	n := New(eng, tp, cfg)
+	if !k.bare {
+		withInvariants(n)
+	}
 	if k.oracle {
 		useOracle(n)
 	}
@@ -264,13 +269,27 @@ func TestClassLifecycle(t *testing.T) {
 	}
 }
 
-// gangRun is the observable outcome and kernel work of one run of the
-// gang-ring world (bench_test.go) to completion.
+// gangRun is the observable outcome and kernel work of one run of a
+// bench_test.go world to completion.
 type gangRun struct {
-	makespan   sim.Time
-	fired      uint64
-	probe      float64 // carried bits on node 0's rail-0/plane-0 uplink
-	linkVisits uint64
+	makespan sim.Time
+	fired    uint64
+	probe    float64 // carried bits on node 0's rail-0/plane-0 uplink
+	stats    KernelStats
+}
+
+// finishRun checks that every flow of a bench world completed and
+// collects the run's outcome.
+func finishRun(tb testing.TB, k kernel, eng *sim.Engine, n *Network) gangRun {
+	if n.ActiveFlows() != 0 {
+		tb.Fatalf("[%s] %d flows never completed", k.name, n.ActiveFlows())
+	}
+	return gangRun{
+		makespan: eng.Now(),
+		fired:    eng.Fired(),
+		probe:    n.CarriedBits(n.Topo.PortAt(0, 0, 0).Up),
+		stats:    n.Stats(),
+	}
 }
 
 func runGang(tb testing.TB, k kernel, nodes, flowsPerPair int) gangRun {
@@ -279,15 +298,7 @@ func runGang(tb testing.TB, k kernel, nodes, flowsPerPair int) gangRun {
 	n := k.build(eng, tp)
 	startGangRings(n, tp, flowsPerPair)
 	eng.Run()
-	if n.ActiveFlows() != 0 {
-		tb.Fatalf("[%s] %d flows never completed", k.name, n.ActiveFlows())
-	}
-	return gangRun{
-		makespan:   eng.Now(),
-		fired:      eng.Fired(),
-		probe:      n.CarriedBits(tp.PortAt(0, 0, 0).Up),
-		linkVisits: n.Stats().LinkVisits,
-	}
+	return finishRun(tb, k, eng, n)
 }
 
 // TestClassKernelScalesAgainstOracle holds the class kernel's promise on a
@@ -313,8 +324,8 @@ func TestClassKernelScalesAgainstOracle(t *testing.T) {
 			}
 			class = got
 		}
-		ratio := float64(ref.linkVisits) / float64(class.linkVisits)
-		t.Logf("%3d flows/chain: oracle %d vs class %d link visits (%.1fx)", members, ref.linkVisits, class.linkVisits, ratio)
+		ratio := float64(ref.stats.LinkVisits) / float64(class.stats.LinkVisits)
+		t.Logf("%3d flows/chain: oracle %d vs class %d link visits (%.1fx)", members, ref.stats.LinkVisits, class.stats.LinkVisits, ratio)
 		if members >= 32 && ratio < 10 {
 			t.Errorf("%d flows/chain: work ratio %.1fx, want >= 10x", members, ratio)
 		}
@@ -322,5 +333,153 @@ func TestClassKernelScalesAgainstOracle(t *testing.T) {
 			t.Errorf("%d flows/chain: work ratio %.1fx not above %.1fx at the previous factor", members, ratio, prev)
 		}
 		prev = ratio
+	}
+}
+
+// replayKernels runs one workload under every kernel setup, the invariant
+// checker armed, and fails unless each class kernel replays the oracle's
+// completion instants and event count. It returns the oracle's
+// completions and the work counters of each setup, in kernels order.
+func replayKernels(t *testing.T, workload func(eng *sim.Engine, n *Network, finish func(*Flow))) (map[string]sim.Time, []KernelStats) {
+	t.Helper()
+	var ref map[string]sim.Time
+	var refFired uint64
+	var stats []KernelStats
+	for _, k := range kernels {
+		eng, n := k.testbed()
+		done := map[string]sim.Time{}
+		workload(eng, n, func(f *Flow) { done[f.Label] = eng.Now() })
+		eng.Run()
+		stats = append(stats, n.Stats())
+		if k.oracle {
+			ref, refFired = done, eng.Fired()
+			continue
+		}
+		if len(done) != len(ref) || eng.Fired() != refFired {
+			t.Fatalf("[%s] %d completions after %d events, oracle %d after %d",
+				k.name, len(done), eng.Fired(), len(ref), refFired)
+		}
+		for label, at := range ref {
+			if done[label] != at {
+				t.Fatalf("[%s] flow %s completed at %v, oracle %v", k.name, label, done[label], at)
+			}
+		}
+	}
+	return ref, stats
+}
+
+// A stalled class revives on links that meanwhile belong to a clean
+// component: flow a has no OnPathDown handler and stalls on its downed
+// spine link, flow b shares node 0's up-link and keeps running alone, and
+// flow c starts mid-outage on a disjoint rail. When the link comes back,
+// a re-enters on b's links, so b's component must refill even though no
+// mutation named it — otherwise b keeps the whole up-link and finishes at
+// ~3.5 s instead of ~5 s.
+func TestReviveNextToCleanComponent(t *testing.T) {
+	done, stats := replayKernels(t, func(eng *sim.Engine, n *Network, finish func(*Flow)) {
+		tp := n.Topo
+		pa, _ := tp.PathFor(0, 4, 0, 0, 0, 0)
+		pb, _ := tp.PathFor(0, 4, 0, 0, 1, 0)
+		pc, _ := tp.PathFor(8, 12, 1, 0, 2, 0)
+		n.StartFlow(pa, 500e9, "a", finish)
+		n.StartFlow(pb, 600e9, "b", finish)
+		down := pa.Links[2] // a's leaf-up link to spine 0
+		eng.Schedule(sim.Second, func() { n.SetLinkUp(down, false) })
+		eng.Schedule(1500*sim.Millisecond, func() { n.StartFlow(pc, 2000e9, "c", finish) })
+		eng.Schedule(2*sim.Second, func() { n.SetLinkUp(down, true) })
+	})
+	// 0-1 s: a and b share the 200 Gbps up-link. 1-2 s: b alone at 200.
+	// From 2 s: 100 each, b's last 300 Gb take 3 s; a finishes alone.
+	if !almostEqual(done["b"].Seconds(), 5, 0.01) || !almostEqual(done["a"].Seconds(), 5.5, 0.01) {
+		t.Fatalf("a done at %v, b at %v; want ~5.5 s and ~5 s", done["a"], done["b"])
+	}
+	for i, st := range stats[1:] {
+		if st.ComponentReuses == 0 {
+			t.Fatalf("[%s] no clean component reused: %+v", kernels[i+1].name, st)
+		}
+	}
+}
+
+// SetLinkLoss on one link must refill that link's component and leave the
+// disjoint one untouched: y's goodput drops by the loss, x keeps going.
+func TestSetLinkLossOnCleanComponent(t *testing.T) {
+	done, _ := replayKernels(t, func(eng *sim.Engine, n *Network, finish func(*Flow)) {
+		px, _ := n.Topo.PathFor(0, 4, 0, 0, 0, 0)
+		py, _ := n.Topo.PathFor(8, 12, 1, 0, 2, 0)
+		n.StartFlow(px, 400e9, "x", finish)
+		n.StartFlow(py, 400e9, "y", finish)
+		eng.Schedule(sim.Second, func() { n.SetLinkLoss(py.DstPort.Down, 0.2) })
+	})
+	// x: 400 Gb at 200 Gbps. y: 200 Gb in the first second, then 160 Gbps.
+	if !almostEqual(done["x"].Seconds(), 2, 0.01) || !almostEqual(done["y"].Seconds(), 2.25, 0.01) {
+		t.Fatalf("x done at %v, y at %v; want ~2 s and ~2.25 s", done["x"], done["y"])
+	}
+}
+
+// SetLinkCapacity on a link no live class crosses dirties nothing, yet the
+// new capacity must hold once a flow arrives on the link.
+func TestSetLinkCapacityOnIdleLink(t *testing.T) {
+	done, _ := replayKernels(t, func(eng *sim.Engine, n *Network, finish func(*Flow)) {
+		px, _ := n.Topo.PathFor(0, 4, 0, 0, 0, 0)
+		py, _ := n.Topo.PathFor(8, 12, 1, 0, 2, 0)
+		n.StartFlow(px, 400e9, "x", finish)
+		eng.Schedule(sim.Second, func() { n.SetLinkCapacity(py.Links[2], 50) })
+		eng.Schedule(1500*sim.Millisecond, func() { n.StartFlow(py, 100e9, "y", finish) })
+	})
+	if !almostEqual(done["x"].Seconds(), 2, 0.01) || !almostEqual(done["y"].Seconds(), 3.5, 0.01) {
+		t.Fatalf("x done at %v, y at %v; want ~2 s and ~3.5 s", done["x"], done["y"])
+	}
+}
+
+// A recompute with no dirty component fills nothing: every component is
+// reused and only the completion ETA is re-derived from the members'
+// remaining bits, landing on the oracle's instants exactly.
+func TestCleanRecomputeOnlyRearms(t *testing.T) {
+	var before, after KernelStats
+	var comps int
+	done, _ := replayKernels(t, func(eng *sim.Engine, n *Network, finish func(*Flow)) {
+		px, _ := n.Topo.PathFor(0, 4, 0, 0, 0, 0)
+		py, _ := n.Topo.PathFor(8, 12, 1, 0, 2, 0)
+		idle, _ := n.Topo.PathFor(2, 6, 2, 1, 3, 1)
+		n.StartFlow(px, 300e9, "x", finish)
+		n.StartFlow(py, 500e9, "y", finish)
+		eng.Schedule(sim.Second, func() {
+			before = n.Stats()
+			n.SetLinkLoss(idle.Links[2], 0.5)
+			n.flush()
+			after = n.Stats()
+			comps = n.ComponentCount()
+		})
+	})
+	// The last run is the parallel class kernel.
+	if after.Recomputes != before.Recomputes+1 || after.ComponentFills != before.ComponentFills {
+		t.Fatalf("idle-link mutation refilled: before %+v, after %+v", before, after)
+	}
+	if comps != 2 || after.ComponentReuses != before.ComponentReuses+2 {
+		t.Fatalf("%d components, reuses %d -> %d; want both reused", comps, before.ComponentReuses, after.ComponentReuses)
+	}
+	if !almostEqual(done["x"].Seconds(), 1.5, 0.01) || !almostEqual(done["y"].Seconds(), 2.5, 0.01) {
+		t.Fatalf("x done at %v, y at %v; want ~1.5 s and ~2.5 s", done["x"], done["y"])
+	}
+}
+
+// The churn world (bench_test.go) is the campaign shape: one-member
+// classes replaced one completion at a time in five independent
+// components. The class kernels must replay the oracle while refilling
+// only the component each completion touched and recycling the dropped
+// classes.
+func TestChurnRefillsOneComponent(t *testing.T) {
+	ref := runChurn(t, kernels[0], 8)
+	for _, k := range kernels[1:] {
+		got := runChurn(t, k, 8)
+		if got.makespan != ref.makespan || got.fired != ref.fired || got.probe != ref.probe {
+			t.Fatalf("%s kernel (makespan %v, %d events, probe %g) diverged from the oracle (%v, %d, %g)",
+				k.name, got.makespan, got.fired, got.probe, ref.makespan, ref.fired, ref.probe)
+		}
+		st := got.stats
+		if st.ComponentReuses < 3*st.ComponentFills {
+			t.Fatalf("[%s] %d fills vs %d reuses over %d recomputes: want most components reused",
+				k.name, st.ComponentFills, st.ComponentReuses, st.Recomputes)
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"c4/internal/sim"
 	"c4/internal/topo"
 )
 
@@ -52,11 +53,56 @@ func startGangRings(n *Network, tp *topo.Topology, flowsPerPair int) int {
 	return flows
 }
 
+// churnComponents and churnClasses shape the churn world: five
+// independent components of six one-member classes each.
+const (
+	churnComponents = 5
+	churnClasses    = 6
+)
+
+// runChurn drives the campaign shape on the paper testbed: many small
+// one-member classes in a few independent components, replaced one
+// completion at a time. Component c is node 2c sending to its leaf
+// neighbour 2c+1 over one spine path per rail, so the components share
+// no link; within one, the classes couple through the nodes' NVLink
+// endpoints. Each completion restarts its flow on the next spine, which
+// drops one class and creates another, until every flow has restarted
+// restarts times.
+func runChurn(tb testing.TB, k kernel, restarts int) gangRun {
+	eng := sim.NewEngine()
+	tp := topo.MustNew(topo.PaperTestbed())
+	n := k.build(eng, tp)
+	for c := 0; c < churnComponents; c++ {
+		for r := 0; r < churnClasses; r++ {
+			left, spine := restarts, r
+			var start func()
+			start = func() {
+				p, err := tp.PathFor(2*c, 2*c+1, r, 0, spine%tp.Spec.Spines, 0)
+				if err != nil {
+					panic(err)
+				}
+				size := 10e9 * (1 + 0.17*float64(r) + 0.07*float64(c) + 0.03*float64(left))
+				n.StartFlow(p, size, fmt.Sprintf("c%d-r%d-%d", c, r, left), func(*Flow) {
+					if left > 0 {
+						left--
+						spine++
+						start()
+					}
+				})
+			}
+			start()
+		}
+	}
+	eng.Run()
+	return finishRun(tb, k, eng, n)
+}
+
 func runGangWorld(b *testing.B, k kernel, nodes, flowsPerPair int) {
 	b.ReportAllocs()
+	k.bare = true
 	var visits uint64
 	for i := 0; i < b.N; i++ {
-		visits += runGang(b, k, nodes, flowsPerPair).linkVisits
+		visits += runGang(b, k, nodes, flowsPerPair).stats.LinkVisits
 	}
 	b.ReportMetric(float64(visits)/float64(b.N), "linkvisits/run")
 }
@@ -77,4 +123,18 @@ func BenchmarkRecomputeAggregated(b *testing.B) {
 // aggregation: the 8 gangs fill on 4 workers.
 func BenchmarkSettleParallel(b *testing.B) {
 	runGangWorld(b, kernels[2], 64, 16)
+}
+
+// BenchmarkRecomputeChurn is the campaign shape through the class kernel:
+// five components of one-member classes under single-flow churn, where
+// each recompute refills one component and reuses the other four.
+func BenchmarkRecomputeChurn(b *testing.B) {
+	b.ReportAllocs()
+	k := kernels[1]
+	k.bare = true
+	var visits uint64
+	for i := 0; i < b.N; i++ {
+		visits += runChurn(b, k, 40).stats.LinkVisits
+	}
+	b.ReportMetric(float64(visits)/float64(b.N), "linkvisits/run")
 }

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"math"
+	"slices"
 
 	"c4/internal/sim"
 	"c4/internal/topo"
@@ -29,18 +30,27 @@ import (
 // kernel to a per-flow reference oracle (reference_test.go).
 
 // flowClass is the unit of aggregated allocation: every admitted flow
-// whose path has an identical link chain.
+// whose path has an identical link chain. Dropped classes go to a free
+// list and are reused, backing arrays included, by the next new chain.
 type flowClass struct {
 	key     string
 	links   []*topo.Link // the shared chain, in path order
 	members []*Flow      // admission order
 
-	// Kernel scratch, valid during one recompute. When components fill in
-	// parallel each class belongs to exactly one component, so there is no
-	// cross-goroutine sharing.
+	// comp is the live link component the class was last filled in; nil
+	// for a class that is new since the last recompute or stalled on a
+	// down link.
+	comp *component
+
+	// Kernel state, written only while the class's component fills. When
+	// components fill in parallel each class belongs to exactly one
+	// component, so there is no cross-goroutine sharing. rate and good
+	// persist while the component stays clean: good is the per-member
+	// goodput the completion ETA is re-derived from.
 	alive  bool
 	frozen bool
 	rate   float64
+	good   float64
 
 	span *trace.Span // class-lifetime span; nil when tracing is off
 }
@@ -51,7 +61,8 @@ type flowClass struct {
 // the same resources in the same order and are indistinguishable to the
 // kernel. The key is built in a reusable byte buffer; Go's map lookup on
 // string(buf) does not allocate, so only the first member of a new chain
-// pays for a string.
+// pays for a string. Growing a class dirties its component; a new class
+// has none yet and is picked up by the next recompute.
 func (n *Network) classAdmit(f *Flow) {
 	b := n.classKey[:0]
 	for _, l := range f.Path.Links {
@@ -61,13 +72,21 @@ func (n *Network) classAdmit(f *Flow) {
 	n.classKey = b
 	fc := n.classIndex[string(b)]
 	if fc == nil {
-		fc = &flowClass{key: string(b), links: append([]*topo.Link(nil), f.Path.Links...)}
+		if k := len(n.spareClasses); k > 0 {
+			fc = n.spareClasses[k-1]
+			n.spareClasses = n.spareClasses[:k-1]
+		} else {
+			fc = &flowClass{}
+		}
+		fc.key = string(b)
+		fc.links = append(fc.links, f.Path.Links...)
 		n.classIndex[fc.key] = fc
 		n.classes = append(n.classes, fc)
 		if n.Trace.Enabled() {
 			fc.span = n.Trace.Start(nil, "class", classLabel(fc))
 		}
 	}
+	n.markDirty(fc.comp)
 	fc.members = append(fc.members, f)
 	f.class = fc
 }
@@ -80,52 +99,76 @@ func classLabel(fc *flowClass) string {
 	return fc.links[0].Name + ".." + fc.links[len(fc.links)-1].Name
 }
 
-// classRemove detaches f from its class, dropping the class when f was the
-// last member. Removal preserves member admission order and the class
-// creation order of n.classes, which the kernel iterates.
+// classRemove detaches f from its class and dirties the class's
+// component, dropping the class to the free list when f was the last
+// member. Removal preserves member admission order and the class creation
+// order of n.classes, which the kernel iterates.
 func (n *Network) classRemove(f *Flow) {
 	fc := f.class
 	f.class = nil
-	for i, m := range fc.members {
-		if m == f {
-			fc.members = append(fc.members[:i], fc.members[i+1:]...)
-			break
-		}
-	}
+	n.markDirty(fc.comp)
+	i := slices.Index(fc.members, f)
+	fc.members = slices.Delete(fc.members, i, i+1)
 	if len(fc.members) == 0 {
 		fc.span.FinishAt(n.Engine.Now())
 		delete(n.classIndex, fc.key)
-		for i, c := range n.classes {
-			if c == fc {
-				n.classes = append(n.classes[:i], n.classes[i+1:]...)
-				break
-			}
-		}
+		i = slices.Index(n.classes, fc)
+		n.classes = slices.Delete(n.classes, i, i+1)
+		*fc = flowClass{links: fc.links[:0], members: fc.members}
+		n.spareClasses = append(n.spareClasses, fc)
 	}
 }
 
-// recomputeAggregated is the rate kernel: classes register their links
-// once, the touched links are partitioned into connected components
-// (parallel.go), and each component runs progressive filling, the CNP
-// pass, and the ETA pass independently — serially or on a bounded worker
-// pool, byte-identically either way.
+// chainUp reports whether every link of the class's chain is up.
+func chainUp(fc *flowClass) bool {
+	for _, l := range fc.links {
+		if !l.Up() {
+			return false
+		}
+	}
+	return true
+}
+
+// recomputeAggregated is the rate kernel. Clean components keep their
+// allocation; the dirty ones are retired, their classes and the
+// componentless ones register their links, the registered links are
+// partitioned into fresh components (parallel.go), and each fresh
+// component runs progressive filling, the CNP pass, and the ETA pass
+// independently — serially or on a bounded worker pool, byte-identically
+// either way. The result is bit-identical to refilling every component.
 func (n *Network) recomputeAggregated() {
-	n.scTouched = n.scTouched[:0]
+	// A componentless class is new or stalled. Once alive, it may cross
+	// links of clean components it now joins: those must refill.
 	for _, fc := range n.classes {
+		if fc.comp != nil {
+			continue
+		}
 		n.stats.FlowVisits++
 		n.stats.LinkVisits += uint64(len(fc.links))
-		fc.alive = true
-		for _, l := range fc.links {
-			if !l.Up() {
-				fc.alive = false
-				break
+		if fc.alive = chainUp(fc); fc.alive {
+			for _, l := range fc.links {
+				n.markDirty(n.linkComp[l.ID])
 			}
+		}
+	}
+	for _, c := range n.dirtyComps {
+		n.retire(c)
+	}
+	n.dirtyComps = n.dirtyComps[:0]
+	clean := len(n.comps)
+
+	n.scTouched = n.scTouched[:0]
+	n.scLive = n.scLive[:0]
+	for _, fc := range n.classes {
+		if fc.comp != nil {
+			continue
 		}
 		if !fc.alive {
 			// Stalled at rate 0: no capacity, no CNPs, no goodput until the
 			// path heals.
 			fc.frozen = true
 			fc.rate = 0
+			fc.good = 0
 			for _, f := range fc.members {
 				f.rate = 0
 				f.cnpRate = 0
@@ -133,6 +176,7 @@ func (n *Network) recomputeAggregated() {
 			}
 			continue
 		}
+		n.stats.LinkVisits += uint64(len(fc.links))
 		fc.frozen = false
 		m := len(fc.members)
 		for _, l := range fc.links {
@@ -147,19 +191,50 @@ func (n *Network) recomputeAggregated() {
 			n.scCount[id] += m
 			n.scClasses[id] = append(n.scClasses[id], fc)
 		}
+		n.scLive = append(n.scLive, fc)
 	}
-
-	comps := n.partition()
-	minEta := n.settleComponents(comps)
-
-	n.snapshotUtil()
-	// Restore the between-calls invariant: scSeen and scFactor all zero, so
-	// links untouched by the next flow set read as absent, not stale.
 	for _, id := range n.scTouched {
 		n.scSeen[id] = false
-		n.scFactor[id] = 0
+	}
+
+	minEta := n.settleComponents(n.partition())
+
+	// Clean components only re-derive their completion ETA: members'
+	// remaining bits moved since the last recompute, their rates did not.
+	for _, c := range n.comps[:clean] {
+		n.stats.ComponentReuses++
+		for _, fc := range c.classes {
+			n.stats.FlowVisits++
+			if eta := fc.eta(); eta < minEta {
+				minEta = eta
+			}
+		}
 	}
 	n.rearmCompletion(minEta)
+}
+
+// eta is the class's earliest member completion from now at its cached
+// goodput, or sim.MaxTime when it does not move. Members share goodput,
+// so min(remaining)/good is the same monotone transform the per-flow
+// reference applies member-wise. Round up by 1 ns: FromSeconds truncates,
+// and an ETA that lands a sub-nanosecond early would re-fire at the same
+// instant with zero progress. Overshoot is harmless — settle clamps
+// delivery to the remaining bits.
+func (fc *flowClass) eta() sim.Time {
+	if fc.good <= 0 {
+		return sim.MaxTime
+	}
+	minRem := math.Inf(1)
+	for _, f := range fc.members {
+		if f.remaining < minRem {
+			minRem = f.remaining
+		}
+	}
+	eta := sim.FromSeconds(minRem/fc.good) + 1
+	if eta < 1 {
+		eta = 1
+	}
+	return eta
 }
 
 // fillComponent runs the three kernel passes over one link component. It
@@ -266,10 +341,12 @@ func (n *Network) fillComponent(c *component) {
 		}
 	}
 
-	// Fan the class results out to the members and find the component's
-	// earliest completion ETA. Members share rate, CNP rate, and goodput;
-	// only remaining bits differ, and min(remaining)/goodRate is the same
-	// monotone transform the per-flow reference applies member-wise.
+	// Fan the class results out to the members, refresh the component's
+	// utilization snapshot, and find its earliest completion ETA. Members
+	// share rate, CNP rate, and goodput; only remaining bits differ.
+	for _, id := range c.links {
+		n.utilRate[id] = n.scLoad[id]
+	}
 	c.eta = sim.MaxTime
 	for _, fc := range c.classes {
 		c.flowVisits++
@@ -284,24 +361,14 @@ func (n *Network) fillComponent(c *component) {
 				loss *= 1 - fr
 			}
 		}
-		good := fc.rate * loss
-		minRem := math.Inf(1)
+		fc.good = fc.rate * loss
 		for _, f := range fc.members {
 			f.rate = fc.rate
 			f.cnpRate = cnp
-			f.goodRate = good
-			if f.remaining < minRem {
-				minRem = f.remaining
-			}
+			f.goodRate = fc.good
 		}
-		if good > 0 {
-			eta := sim.FromSeconds(minRem/good) + 1
-			if eta < 1 {
-				eta = 1
-			}
-			if eta < c.eta {
-				c.eta = eta
-			}
+		if eta := fc.eta(); eta < c.eta {
+			c.eta = eta
 		}
 	}
 }

@@ -3,33 +3,24 @@ package netsim
 import "c4/internal/sim"
 
 // This file holds the kernel's shared bookkeeping: the work counters and
-// the post-allocation steps (utilization snapshot, completion rearm).
+// the completion rearm.
 
 // KernelStats counts deterministic units of algorithmic work performed by
-// rate recomputation. LinkVisits counts per-link steps (bottleneck scans,
-// capacity updates, CNP bookkeeping); FlowVisits counts per-class steps —
-// the quantity flow-class aggregation shrinks from O(flows) to O(classes).
-// The counters are pure step counts, no wall-clock, so they are
-// byte-for-byte reproducible across runs and safe to track in bench
-// baselines.
+// rate recomputation. LinkVisits counts per-link steps (registration,
+// bottleneck scans, capacity updates, CNP bookkeeping); FlowVisits counts
+// per-class steps — the quantity flow-class aggregation shrinks from
+// O(flows) to O(classes). ComponentFills counts link components refilled
+// from scratch and ComponentReuses components a recompute found clean and
+// kept, re-deriving only their completion ETA; a kernel that silently
+// fell back to full refills would show zero reuses. The counters are pure
+// step counts, no wall-clock, so they are byte-for-byte reproducible
+// across runs and safe to track in bench baselines.
 type KernelStats struct {
-	Recomputes uint64
-	LinkVisits uint64
-	FlowVisits uint64
-}
-
-// snapshotUtil copies the aggregate allocated rate per touched link out of
-// the CNP-pass scratch into the persistent utilization snapshot that
-// Utilization serves, clearing links touched by the previous flow set but
-// not this one. The kernel calls it with scLoad/scTouched populated.
-func (n *Network) snapshotUtil() {
-	for _, id := range n.utilLinks {
-		n.utilRate[id] = 0
-	}
-	n.utilLinks = append(n.utilLinks[:0], n.scTouched...)
-	for _, id := range n.utilLinks {
-		n.utilRate[id] = n.scLoad[id]
-	}
+	Recomputes      uint64
+	LinkVisits      uint64
+	FlowVisits      uint64
+	ComponentFills  uint64
+	ComponentReuses uint64
 }
 
 // rearmCompletion points the network's single completion event at minEta
@@ -49,5 +40,5 @@ func (n *Network) rearmCompletion(minEta sim.Time) {
 	if n.Engine.Reschedule(n.completeEv, n.Engine.Now()+minEta) {
 		return
 	}
-	n.completeEv = n.Engine.After(minEta, n.completions)
+	n.completeEv = n.Engine.After(minEta, n.completionsFn)
 }

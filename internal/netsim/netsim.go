@@ -18,12 +18,20 @@
 // identical link chains into one fluid class with a member count, so its
 // cost scales with the number of distinct paths rather than the number of
 // flows — the shape of collective traffic, a few long-lived flows on
-// predictable, identical chains. It then partitions the touched links into
-// independent components that can settle on a worker pool
-// (Config.SettleWorkers, parallel.go). The class kernel reproduces
-// per-flow progressive filling bit for bit — same rates, same completion
-// instants, same event counts — and the package's tests hold it to a
-// per-flow reference oracle kept in test code.
+// predictable, identical chains. The links the classes cross fall apart
+// into independent components (parallel.go) that persist across events:
+// a recompute refills only the components a mutation touched since the
+// last one, on a worker pool when Config.SettleWorkers > 1, and keeps the
+// rest, re-deriving only their completion ETA. The class kernel
+// reproduces per-flow progressive filling bit for bit — same rates, same
+// completion instants, same event counts — and the package's tests hold
+// it to a per-flow reference oracle kept in test code, with an invariant
+// checker (capacity, max-min certificate, utilization, component map)
+// run after every recompute.
+//
+// Because clean components are trusted across events, a link that carries
+// live flows must change only through Network.SetLinkCapacity,
+// SetLinkLoss and SetLinkUp, never by writing topo.Link directly.
 package netsim
 
 import (
@@ -136,9 +144,10 @@ type Network struct {
 	// Flow-class state (see class.go): classes in creation order for
 	// deterministic kernel iteration, plus a key index for O(1) membership
 	// on admit/reroute.
-	classes    []*flowClass
-	classIndex map[string]*flowClass
-	classKey   []byte // scratch for key building
+	classes      []*flowClass
+	classIndex   map[string]*flowClass
+	classKey     []byte       // scratch for key building
+	spareClasses []*flowClass // dropped classes, reused by new chains
 
 	// completeEv is the single next-completion event. Flows complete when
 	// their remaining bits reach zero at the scheduled instant; keeping one
@@ -146,6 +155,11 @@ type Network struct {
 	// every rate change) keeps the engine's queue small and cheap.
 	completeEv *sim.Event
 	completed  []*Flow // scratch for collecting finished flows
+
+	// The recompute and completion callbacks as func values, bound once:
+	// binding a method value per schedule would allocate on every event.
+	recomputeFn   func()
+	completionsFn func()
 
 	// carriedBits accumulates delivered bits per link (indexed by link ID)
 	// for bandwidth sampling (Fig 13); cnpCount accumulates CNPs per
@@ -171,24 +185,28 @@ type Network struct {
 	scLoad    []float64      // aggregate allocated rate (CNP pass)
 	scLoadCnt []int          // allocated flows on the link (CNP pass)
 	scFactor  []float64      // CNP contention factor; 0 = not saturated
-	scTouched []int          // link IDs referenced by the current flow set
+	scTouched []int          // link IDs registered by this recompute
+	scLive    []*flowClass   // alive classes registered by this recompute
 
 	// Incremental read-path counters: flowsOn tracks active-flow membership
-	// per link (maintained at admit/remove/reroute), and utilRate snapshots
-	// the aggregate allocated rate per link at the end of each recompute
-	// (utilLinks lists the links holding a nonzero snapshot so the next
-	// recompute can clear them). Together they make FlowsOn and Utilization
-	// O(1) instead of scans over every active flow.
-	flowsOn   []int
-	utilRate  []float64
-	utilLinks []int
+	// per link (maintained at admit/remove/reroute), and utilRate holds the
+	// aggregate allocated rate per link, written when the link's component
+	// fills and cleared when it retires. Together they make FlowsOn and
+	// Utilization O(1) instead of scans over every active flow.
+	flowsOn  []int
+	utilRate []float64
 
-	// Union-find and component scratch for the parallel settle partition
-	// (see parallel.go).
-	ufParent  []int32
-	compSlot  []int32
-	compPool  []*component
-	lastComps int
+	// Persistent link components (see parallel.go): the live components,
+	// the component of each link (nil when no alive class crosses it), the
+	// components a mutation touched since the last recompute, retired
+	// components kept for reuse, and partition scratch (the components one
+	// recompute created, union-find parents).
+	comps      []*component
+	linkComp   []*component
+	dirtyComps []*component
+	spareComps []*component
+	fresh      []*component
+	ufParent   []int32
 
 	stats KernelStats
 
@@ -196,12 +214,15 @@ type Network struct {
 	// recomputeNow. Production leaves it nil; the package tests set it to
 	// the per-flow reference oracle the class kernel is proven against.
 	refKernel func()
+	// checkInvariants, when non-nil, runs after every recompute. Production
+	// leaves it nil; the package tests set it to an allocation checker.
+	checkInvariants func()
 }
 
 // New creates a simulator bound to an engine and fabric.
 func New(eng *sim.Engine, t *topo.Topology, cfg Config) *Network {
 	nl := len(t.Links)
-	return &Network{
+	n := &Network{
 		Engine:      eng,
 		Topo:        t,
 		Cfg:         cfg,
@@ -218,9 +239,12 @@ func New(eng *sim.Engine, t *topo.Topology, cfg Config) *Network {
 		flowsOn:     make([]int, nl),
 		utilRate:    make([]float64, nl),
 		classIndex:  make(map[string]*flowClass),
+		linkComp:    make([]*component, nl),
 		ufParent:    make([]int32, nl),
-		compSlot:    make([]int32, nl),
 	}
+	n.recomputeFn = n.recompute
+	n.completionsFn = n.completions
+	return n
 }
 
 // StartFlow submits a transfer of sizeBits along path. onComplete may be
@@ -324,6 +348,7 @@ func (n *Network) SetLinkCapacity(l *topo.Link, gbps float64) {
 	}
 	n.settle()
 	l.Gbps = gbps
+	n.markDirty(n.linkComp[l.ID])
 	n.invalidate()
 }
 
@@ -340,6 +365,7 @@ func (n *Network) SetLinkLoss(l *topo.Link, frac float64) {
 	}
 	n.settle()
 	n.lossFrac[l.ID] = frac
+	n.markDirty(n.linkComp[l.ID])
 	n.invalidate()
 }
 
@@ -353,6 +379,7 @@ func (n *Network) SetLinkUp(l *topo.Link, up bool) {
 	}
 	n.settle()
 	l.SetUp(up)
+	n.markDirty(n.linkComp[l.ID])
 	if !up {
 		// Copy: handlers may reroute/cancel, mutating n.flows.
 		var hit []*Flow
@@ -415,10 +442,10 @@ func (n *Network) Stats() KernelStats { return n.stats }
 // chains among the admitted flows.
 func (n *Network) ClassCount() int { return len(n.classes) }
 
-// ComponentCount reports how many independent link components the last
-// recompute partitioned the traffic into — the available parallelism for
-// SettleWorkers.
-func (n *Network) ComponentCount() int { return n.lastComps }
+// ComponentCount reports how many independent link components the
+// alive classes form after the last recompute — the parallelism available
+// to SettleWorkers when every component refills.
+func (n *Network) ComponentCount() int { return len(n.comps) }
 
 func (n *Network) remove(f *Flow) {
 	for i, g := range n.flows {
@@ -439,7 +466,7 @@ func (n *Network) invalidate() {
 	if n.pending != nil && !n.pending.Cancelled() && n.pending.At() == n.Engine.Now() {
 		return
 	}
-	n.pending = n.Engine.After(0, n.recompute)
+	n.pending = n.Engine.After(0, n.recomputeFn)
 }
 
 // flush brings every observable up to the current instant. Mutators
@@ -506,9 +533,12 @@ func (n *Network) recomputeNow() {
 	n.stats.Recomputes++
 	if n.refKernel != nil {
 		n.refKernel()
-		return
+	} else {
+		n.recomputeAggregated()
 	}
-	n.recomputeAggregated()
+	if n.checkInvariants != nil {
+		n.checkInvariants()
+	}
 }
 
 func (n *Network) linkCap(id int) float64 {

@@ -12,7 +12,7 @@ import (
 func testbed() (*sim.Engine, *Network) {
 	eng := sim.NewEngine()
 	t := topo.MustNew(topo.PaperTestbed())
-	return eng, New(eng, t, DefaultConfig())
+	return eng, withInvariants(New(eng, t, DefaultConfig()))
 }
 
 func almostEqual(a, b, tol float64) bool { return math.Abs(a-b) <= tol }

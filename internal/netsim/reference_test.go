@@ -14,10 +14,12 @@ import (
 // bits, CNPs and event counts. Change the two together or not at all.
 
 // perFlowOracle is the reference kernel's own scratch: the flows crossing
-// each link and the flows frozen in the current filling.
+// each link, the flows frozen in the current filling, and the links
+// holding a utilization snapshot from the previous recompute.
 type perFlowOracle struct {
-	flows  [][]*Flow
-	frozen map[*Flow]bool
+	flows     [][]*Flow
+	frozen    map[*Flow]bool
+	utilLinks []int
 }
 
 // useOracle switches n from the class kernel to the per-flow reference
@@ -165,7 +167,7 @@ func (n *Network) recomputePerFlow(o *perFlowOracle) {
 		}
 		f.goodRate = f.rate * loss
 	}
-	n.snapshotUtil()
+	o.snapshotUtil(n)
 	// Restore the between-calls invariant: scSeen and scFactor all zero, so
 	// links untouched by the next flow set read as absent, not stale.
 	for _, id := range n.scTouched {
@@ -194,4 +196,18 @@ func (n *Network) recomputePerFlow(o *perFlowOracle) {
 		}
 	}
 	n.rearmCompletion(minEta)
+}
+
+// snapshotUtil copies the aggregate allocated rate per touched link out of
+// the CNP-pass scratch into the utilization snapshot that Utilization
+// serves, clearing links touched by the previous flow set but not this
+// one. The oracle calls it with scLoad/scTouched populated.
+func (o *perFlowOracle) snapshotUtil(n *Network) {
+	for _, id := range o.utilLinks {
+		n.utilRate[id] = 0
+	}
+	o.utilLinks = append(o.utilLinks[:0], n.scTouched...)
+	for _, id := range o.utilLinks {
+		n.utilRate[id] = n.scLoad[id]
+	}
 }

@@ -133,7 +133,10 @@ func (k LinkKind) String() string {
 type Link struct {
 	ID   int
 	Kind LinkKind
-	Gbps float64 // capacity
+	// Gbps is the capacity. Once the link carries live netsim flows, change
+	// it only through netsim.Network.SetLinkCapacity: the simulator keeps
+	// clean allocations across events and must learn of the change.
+	Gbps float64
 	Name string
 
 	// Endpoints, by kind:
@@ -151,7 +154,10 @@ type Link struct {
 // Up reports whether the link is healthy.
 func (l *Link) Up() bool { return l.up }
 
-// SetUp marks the link healthy or failed.
+// SetUp marks the link healthy or failed. Once the link carries live
+// netsim flows, use netsim.Network.SetLinkUp instead: it re-allocates the
+// affected flows and notifies their OnPathDown handlers, and the
+// simulator, which keeps clean allocations across events, relies on it.
 func (l *Link) SetUp(up bool) { l.up = up }
 
 func (l *Link) String() string { return l.Name }
