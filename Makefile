@@ -3,7 +3,8 @@
 # the c4vet determinism-lint suite) + build + the full test suite, then
 # the short suite again under the race detector (which also proves the
 # parallel scenario and campaign runners share no state), the smoke
-# trials, and a checked pass of the host benchmark. The GitHub
+# trials, a short pass of every fuzzer, and a checked pass of the host
+# benchmark. The GitHub
 # workflow (.github/workflows/ci.yml) runs the same targets plus the
 # bench-regression guard and a coverage report, so local and CI gates
 # agree.
@@ -13,7 +14,7 @@ SHA := $(shell git rev-parse --short HEAD 2>/dev/null || echo dev)
 
 .PHONY: all build vet c4vet lint fmt-check test test-race kernel-race \
 	tenancy-smoke telemetry-smoke plan-smoke serve-smoke trace-smoke \
-	campaign-smoke perfbench-check docker \
+	campaign-smoke fuzz-short perfbench-check docker \
 	ci bench experiments bench-json bench-baseline bench-check cover clean
 
 all: ci
@@ -115,6 +116,19 @@ campaign-smoke:
 	$(GO) run ./cmd/c4campaign check -manifest campaigns/smoke.json CAMP_merged.json
 	@rm -f CAMP_serial.json CAMP_p0.json CAMP_p1.json CAMP_merged_serial.json CAMP_merged.json CAMP_s0.ckpt CAMP_s1.ckpt
 
+# Every fuzz target for a short run each (go test -fuzz takes one target
+# per invocation): the JSONL encoder against the encoding/json oracle
+# and the stream reader's decode/re-encode round trip. The seed corpora
+# also run in the plain test suite.
+FUZZ_TARGETS := ./internal/telemetry:FuzzAppendRecord ./internal/telemetry:FuzzReadStream
+FUZZTIME ?= 10s
+fuzz-short:
+	@for t in $(FUZZ_TARGETS); do \
+		pkg="$${t%%:*}"; fn="$${t#*:}"; \
+		echo "fuzz: $$pkg $$fn"; \
+		$(GO) test -run '^$$' -fuzz "^$$fn\$$" -fuzztime $(FUZZTIME) "$$pkg" || exit 1; \
+	done
+
 # The host benchmark module (perfbench/, its own go.mod): vet and unit
 # tests, then one checked pass of each workload mix. perfbench exits 0
 # even when runs fail, so each pass must end in a result line reporting
@@ -137,7 +151,7 @@ perfbench-check:
 docker:
 	docker build -t c4serve:$(SHA) .
 
-ci: lint build test test-race kernel-race tenancy-smoke telemetry-smoke plan-smoke serve-smoke trace-smoke campaign-smoke perfbench-check
+ci: lint build test test-race kernel-race tenancy-smoke telemetry-smoke plan-smoke serve-smoke trace-smoke campaign-smoke fuzz-short perfbench-check
 
 # Microbenchmarks, including the incremental-vs-full-recompute pair
 # (internal/telemetry: BenchmarkIncrementalObserve vs

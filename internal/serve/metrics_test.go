@@ -147,6 +147,32 @@ func TestHubDroppedAndSubscriberStats(t *testing.T) {
 	}
 }
 
+func TestHubDropsRecordsThatCannotEncode(t *testing.T) {
+	// A data record without its payload or of an unknown kind has no
+	// wire form: the hub drops it instead of panicking, and keeps
+	// streaming the records around it.
+	h := newHub(0)
+	good := telemetry.Record{Kind: telemetry.KindCommClose, Node: -1, Comm: 1}
+	h.Observe(good)
+	for _, bad := range []telemetry.Record{
+		{Kind: telemetry.KindColl, Comm: 1},
+		{Kind: telemetry.KindMsg, Comm: 1},
+		{Kind: telemetry.KindWait, Comm: 1},
+		{Kind: telemetry.Kind(42), Comm: 1},
+	} {
+		h.Observe(bad)
+	}
+	h.Observe(good)
+	lines, _, _, _ := h.next(0)
+	want, err := telemetry.EncodeRecord(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(lines) != 2 || string(lines[0]) != string(want) || string(lines[1]) != string(want) {
+		t.Fatalf("hub lines = %q, want two copies of %q", lines, want)
+	}
+}
+
 func TestAccessLogMiddleware(t *testing.T) {
 	var logBuf bytes.Buffer
 	inner := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"fmt"
+	"io"
 	"testing"
 
 	"c4/internal/c4d"
@@ -9,7 +10,8 @@ import (
 
 // The incremental-vs-full-recompute benchmark behind online/scale-sweep:
 // one streaming DelayMatrix update per record versus one batch
-// AnalyzeDelayMatrix pass over a same-sized window. Run via `make bench`.
+// AnalyzeDelayMatrix pass over a same-sized window, and the JSONL
+// encoding cost of one record per kind. Run via `make bench`.
 
 // ringPairs enumerates an n-node ring's (src,dst) edges.
 func ringPairs(n int) [][2]int {
@@ -42,6 +44,23 @@ func BenchmarkBatchAnalyzePass(b *testing.B) {
 		b.Run(fmt.Sprintf("nodes=%d", nodes), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				c4d.AnalyzeDelayMatrix(bw, 2, 0.6)
+			}
+		})
+	}
+}
+
+// BenchmarkStreamWriterObserve is the per-record cost of the JSONL sink:
+// encode into the reused line buffer and copy into the bufio buffer.
+func BenchmarkStreamWriterObserve(b *testing.B) {
+	for _, r := range streamRoundTripRecords() {
+		b.Run(r.Kind.String(), func(b *testing.B) {
+			sw := NewStreamWriter(io.Discard)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sw.Observe(r)
+			}
+			if err := sw.Flush(); err != nil {
+				b.Fatal(err)
 			}
 		})
 	}

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"c4/internal/accl"
@@ -111,14 +112,71 @@ type commWatch struct {
 	arrivedAtMax int
 	completedMax bool
 
-	opTx map[int]map[int]bool
-	opRx map[int]map[int]bool
+	// window holds, per recent operation, the members seen sending (tx)
+	// and receiving (rx) its messages — the hang alarm's blame evidence.
+	// It keeps the same ~8-op window as seqFirstArr; pruned entries stay
+	// in the slice's spare capacity and are reused with their peer lists.
+	window []opPeers
 
 	matrix *DelayMatrix
 	waits  map[int]*DecayAccum
 
 	alarm   *sim.Event
 	alarmAt sim.Time
+}
+
+// opPeers is one operation's entry in a commWatch's message window: the
+// distinct members seen sending and receiving its messages.
+type opPeers struct {
+	seq    int
+	tx, rx []int
+}
+
+// op returns the window entry for seq, or nil.
+func (w *commWatch) op(seq int) *opPeers {
+	for i := range w.window {
+		if w.window[i].seq == seq {
+			return &w.window[i]
+		}
+	}
+	return nil
+}
+
+// addOp appends an empty entry for seq, reusing a pruned entry's peer
+// lists when the slice has one in its spare capacity.
+func (w *commWatch) addOp(seq int) *opPeers {
+	if n := len(w.window); n < cap(w.window) {
+		w.window = w.window[:n+1]
+	} else {
+		w.window = append(w.window, opPeers{})
+	}
+	op := &w.window[len(w.window)-1]
+	op.seq, op.tx, op.rx = seq, op.tx[:0], op.rx[:0]
+	return op
+}
+
+// pruneOps drops the entries of operations older than oldest, keeping
+// the survivors in order and parking the dropped ones past the slice's
+// length for reuse.
+func (w *commWatch) pruneOps(oldest int) {
+	k := 0
+	for i := range w.window {
+		if w.window[i].seq >= oldest {
+			if i != k { // skip self-swaps: their slice writes pay write barriers
+				w.window[k], w.window[i] = w.window[i], w.window[k]
+			}
+			k++
+		}
+	}
+	w.window = w.window[:k]
+}
+
+// addPeer adds node to a peer set kept as a small slice.
+func addPeer(set []int, node int) []int {
+	if slices.Contains(set, node) {
+		return set
+	}
+	return append(set, node)
 }
 
 // OnlineDetector turns the merged record stream into Detections the
@@ -192,8 +250,6 @@ func (d *OnlineDetector) Observe(rec Record) {
 			arriveSeq:   map[int]int{},
 			completeSeq: map[int]int{},
 			seqFirstArr: map[int]sim.Time{},
-			opTx:        map[int]map[int]bool{},
-			opRx:        map[int]map[int]bool{},
 			matrix:      NewDelayMatrix(d.cfg.Alpha),
 			waits:       map[int]*DecayAccum{},
 		}
@@ -245,7 +301,7 @@ func (d *OnlineDetector) observeColl(w *commWatch, ev accl.CollEvent) {
 				w.arrivedAtMax = 1
 				w.completedMax = false
 				// Bound memory: first-arrival times of long-finished
-				// operations are useless (same window as opTx/opRx).
+				// operations are useless (same window as w.window).
 				for seq := range w.seqFirstArr {
 					d.updates++
 					if seq < w.maxArr-8 {
@@ -274,19 +330,15 @@ func (d *OnlineDetector) observeMsg(w *commWatch, ev accl.MsgEvent) {
 	if ev.End > w.lastProgress {
 		w.lastProgress = ev.End
 	}
-	if w.opTx[ev.Seq] == nil {
-		w.opTx[ev.Seq] = map[int]bool{}
-		w.opRx[ev.Seq] = map[int]bool{}
+	op := w.op(ev.Seq)
+	if op == nil {
+		op = w.addOp(ev.Seq)
 	}
-	w.opTx[ev.Seq][ev.SrcNode] = true
-	w.opRx[ev.Seq][ev.DstNode] = true
-	for seq := range w.opTx {
-		d.updates++
-		if seq < ev.Seq-8 {
-			delete(w.opTx, seq)
-			delete(w.opRx, seq)
-		}
-	}
+	op.tx = addPeer(op.tx, ev.SrcNode)
+	op.rx = addPeer(op.rx, ev.DstNode)
+	// One update per window entry visited by the prune.
+	d.updates += uint64(len(w.window))
+	w.pruneOps(ev.Seq - 8)
 	if dur := ev.Duration(); dur > 0 {
 		bw := ev.Bytes * 8 / dur.Seconds() / 1e9 // Gbps
 		w.matrix.Observe(ev.SrcNode, ev.DstNode, bw)
@@ -477,10 +529,13 @@ func (d *OnlineDetector) hangAlarm(w *commWatch) {
 		if now-last < d.cfg.HangTimeout {
 			break
 		}
-		tx, rx := w.opTx[maxArr], w.opRx[maxArr]
+		var tx, rx []int
+		if op := w.op(maxArr); op != nil {
+			tx, rx = op.tx, op.rx
+		}
 		var blamed []int
 		for _, n := range w.nodes {
-			if !tx[n] && !rx[n] {
+			if !slices.Contains(tx, n) && !slices.Contains(rx, n) {
 				blamed = append(blamed, n)
 			}
 		}

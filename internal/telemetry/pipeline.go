@@ -9,7 +9,9 @@ import (
 
 // PipelineConfig tunes the collection side of the streaming pipeline.
 type PipelineConfig struct {
-	// BufCap is each node collector's ring capacity. Default 4096.
+	// BufCap bounds each node collector's ring: records drop only once
+	// BufCap are buffered. It is a bound, not a preallocation — ring
+	// storage grows on demand. Default 4096.
 	BufCap int
 	// DrainInterval is the collector drain cadence. Zero means streaming:
 	// collectors drain at the end of the simulation instant that filled
@@ -161,6 +163,9 @@ func (p *Pipeline) drain() {
 			c.Observe(rec)
 		}
 	}
+	// Clear the delivered records so the reused batch keeps no payload
+	// reachable until it is overwritten.
+	clear(batch)
 	p.scratch = batch[:0]
 }
 

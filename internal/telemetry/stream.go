@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
+	"strconv"
 
 	"c4/internal/accl"
 	"c4/internal/sim"
@@ -24,8 +26,16 @@ import (
 //	bytes  payload bytes                       coll, msg
 //	src/dst, rail/plane/sport/qpn, start_ns/end_ns   msg
 //	waiter/on, dur_ns                          wait
+//
+// Lines are written by AppendRecord, a hand-written encoder that appends
+// straight into a caller's buffer: no reflection and, once the buffer has
+// grown, no allocation per record. Its output is byte-identical to
+// encoding/json marshalling wireRecord (field order, omitempty, float
+// formatting and string escaping); the fuzz tests pin that equivalence
+// against json.Marshal as the oracle. wireRecord is the decode shape:
+// ReadStream unmarshals each line into it with encoding/json.
 
-// wireRecord is the JSONL line shape.
+// wireRecord is the JSONL line shape, as decoded by ReadStream.
 type wireRecord struct {
 	TNs  int64  `json:"t_ns"`
 	Kind string `json:"kind"`
@@ -54,30 +64,153 @@ type wireRecord struct {
 	DurNs  int64 `json:"dur_ns,omitempty"`
 }
 
-func toWire(r Record) wireRecord {
-	w := wireRecord{TNs: int64(r.Time), Kind: r.Kind.String(), Node: r.Node, Comm: r.Comm}
+// AppendRecord appends r's JSONL line (trailing newline included) to dst
+// and returns the extended buffer. The bytes are exactly what
+// encoding/json produces for wireRecord. A data record without its
+// payload, a record of unknown Kind and a NaN or infinite Bytes are
+// errors; dst is then returned unextended.
+func AppendRecord(dst []byte, r Record) ([]byte, error) {
 	switch r.Kind {
-	case KindCommCreate:
-		w.Nodes = r.Nodes
+	case KindCommCreate, KindCommClose:
 	case KindColl:
-		ev := r.Coll
-		w.Seq, w.Op, w.Algo, w.Bytes = ev.Seq, string(ev.Op), ev.Algo, ev.Bytes
-		if ev.Phase == accl.PhaseComplete {
-			w.Phase = "complete"
-		} else {
-			w.Phase = "arrive"
+		if r.Coll == nil {
+			return dst, errNoPayload(r.Kind)
 		}
 	case KindMsg:
+		if r.Msg == nil {
+			return dst, errNoPayload(r.Kind)
+		}
+	case KindWait:
+		if r.Wait == nil {
+			return dst, errNoPayload(r.Kind)
+		}
+	default:
+		return dst, fmt.Errorf("telemetry: cannot encode record kind %d", r.Kind)
+	}
+	n0 := len(dst)
+	dst = append(dst, `{"t_ns":`...)
+	dst = strconv.AppendInt(dst, int64(r.Time), 10)
+	dst = append(dst, `,"kind":"`...)
+	dst = append(dst, r.Kind.String()...)
+	dst = append(dst, `","node":`...)
+	dst = strconv.AppendInt(dst, int64(r.Node), 10)
+	dst = append(dst, `,"comm":`...)
+	dst = strconv.AppendInt(dst, int64(r.Comm), 10)
+
+	var err error
+	switch r.Kind {
+	case KindCommCreate:
+		if len(r.Nodes) > 0 {
+			dst = append(dst, `,"nodes":[`...)
+			for i, n := range r.Nodes {
+				if i > 0 {
+					dst = append(dst, ',')
+				}
+				dst = strconv.AppendInt(dst, int64(n), 10)
+			}
+			dst = append(dst, ']')
+		}
+	case KindColl:
+		ev := r.Coll
+		dst = appendIntField(dst, `,"seq":`, int64(ev.Seq))
+		dst = appendStringField(dst, `,"op":`, string(ev.Op))
+		if ev.Phase == accl.PhaseComplete {
+			dst = append(dst, `,"phase":"complete"`...)
+		} else {
+			dst = append(dst, `,"phase":"arrive"`...)
+		}
+		dst = appendStringField(dst, `,"algo":`, ev.Algo)
+		dst, err = appendFloatField(dst, `,"bytes":`, ev.Bytes)
+	case KindMsg:
 		ev := r.Msg
-		w.Seq, w.Bytes = ev.Seq, ev.Bytes
-		w.Src, w.Dst = ev.SrcNode, ev.DstNode
-		w.Rail, w.Plane, w.Sport, w.QPN = ev.Rail, ev.Plane, ev.Sport, ev.QPN
-		w.StartNs, w.EndNs = int64(ev.Start), int64(ev.End)
+		dst = appendIntField(dst, `,"seq":`, int64(ev.Seq))
+		dst, err = appendFloatField(dst, `,"bytes":`, ev.Bytes)
+		dst = appendIntField(dst, `,"src":`, int64(ev.SrcNode))
+		dst = appendIntField(dst, `,"dst":`, int64(ev.DstNode))
+		dst = appendIntField(dst, `,"rail":`, int64(ev.Rail))
+		dst = appendIntField(dst, `,"plane":`, int64(ev.Plane))
+		dst = appendIntField(dst, `,"sport":`, int64(ev.Sport))
+		dst = appendIntField(dst, `,"qpn":`, int64(ev.QPN))
+		dst = appendIntField(dst, `,"start_ns":`, int64(ev.Start))
+		dst = appendIntField(dst, `,"end_ns":`, int64(ev.End))
 	case KindWait:
 		ev := r.Wait
-		w.Seq, w.Waiter, w.On, w.DurNs = ev.Seq, ev.Waiter, ev.On, int64(ev.Dur)
+		dst = appendIntField(dst, `,"seq":`, int64(ev.Seq))
+		dst = appendIntField(dst, `,"waiter":`, int64(ev.Waiter))
+		dst = appendIntField(dst, `,"on":`, int64(ev.On))
+		dst = appendIntField(dst, `,"dur_ns":`, int64(ev.Dur))
 	}
-	return w
+	if err != nil {
+		return dst[:n0], err
+	}
+	return append(dst, '}', '\n'), nil
+}
+
+func errNoPayload(k Kind) error {
+	return fmt.Errorf("telemetry: %v record without its payload", k)
+}
+
+// appendIntField appends `key` and v, omitting a zero v (omitempty).
+func appendIntField(dst []byte, key string, v int64) []byte {
+	if v == 0 {
+		return dst
+	}
+	dst = append(dst, key...)
+	return strconv.AppendInt(dst, v, 10)
+}
+
+// appendStringField appends `key` and s as a JSON string, omitting an
+// empty s (omitempty).
+func appendStringField(dst []byte, key, s string) []byte {
+	if s == "" {
+		return dst
+	}
+	dst = append(dst, key...)
+	return appendJSONString(dst, s)
+}
+
+// appendJSONString quotes s as encoding/json does. Strings made only of
+// printable ASCII without quote, backslash or the HTML-sensitive <, >, &
+// are copied verbatim; anything else (control bytes, non-ASCII, invalid
+// UTF-8) is rare in the stream and goes through json.Marshal, so the
+// escaping rules exist in exactly one place.
+func appendJSONString(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x80 || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			b, _ := json.Marshal(s) // a Go string always marshals
+			return append(dst, b...)
+		}
+	}
+	dst = append(dst, '"')
+	dst = append(dst, s...)
+	return append(dst, '"')
+}
+
+// appendFloatField appends `key` and f formatted as encoding/json formats
+// a float64, omitting a zero f (omitempty; -0 included). NaN and ±Inf
+// have no JSON form and are an error.
+func appendFloatField(dst []byte, key string, f float64) ([]byte, error) {
+	if f == 0 {
+		return dst, nil
+	}
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		return dst, fmt.Errorf("telemetry: unsupported float value %v", f)
+	}
+	dst = append(dst, key...)
+	format := byte('f')
+	if abs := math.Abs(f); abs < 1e-6 || abs >= 1e21 {
+		format = 'e'
+	}
+	dst = strconv.AppendFloat(dst, f, format, -1, 64)
+	if format == 'e' {
+		// Shorten a two-digit negative exponent as encoding/json does:
+		// 1e-07 becomes 1e-7.
+		if n := len(dst); n >= 4 && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+			dst[n-2] = dst[n-1]
+			dst = dst[:n-1]
+		}
+	}
+	return dst, nil
 }
 
 func fromWire(w wireRecord) (Record, error) {
@@ -120,21 +253,21 @@ func fromWire(w wireRecord) (Record, error) {
 // EncodeRecord serializes one record as a JSONL line (trailing newline
 // included), byte-identical to the lines a StreamWriter emits. The
 // serving plane uses it to frame individual records into SSE events
-// without re-implementing the wire format.
+// without re-implementing the wire format; the returned slice is fresh,
+// so callers may retain it.
 func EncodeRecord(r Record) ([]byte, error) {
-	b, err := json.Marshal(toWire(r))
-	if err != nil {
-		return nil, err
-	}
-	return append(b, '\n'), nil
+	return AppendRecord(nil, r)
 }
 
 // StreamWriter serializes the record stream as JSONL. It implements
-// Sink, so it plugs into a Pipeline beside the online detector.
+// Sink, so it plugs into a Pipeline beside the online detector. Each
+// record is encoded into one reused line buffer, so the steady-state
+// per-record path allocates nothing.
 type StreamWriter struct {
-	w   *bufio.Writer
-	n   uint64
-	err error
+	w    *bufio.Writer
+	line []byte
+	n    uint64
+	err  error
 }
 
 // NewStreamWriter wraps a writer.
@@ -150,9 +283,10 @@ func (s *StreamWriter) Observe(r Record) {
 	if s.err != nil {
 		return
 	}
-	line, err := EncodeRecord(r)
+	var err error
+	s.line, err = AppendRecord(s.line[:0], r)
 	if err == nil {
-		_, err = s.w.Write(line)
+		_, err = s.w.Write(s.line)
 	}
 	if err != nil {
 		s.err = err

@@ -36,6 +36,125 @@ func TestCollectorRingDropsOldest(t *testing.T) {
 	if got := c.Drain(nil); len(got) != 1 || got[0].Time != 99 {
 		t.Fatalf("post-drain push lost: %v", got)
 	}
+
+	// A ring that grows on demand behaves exactly like a preallocated
+	// one: pushes interleaved with drains, growth steps landing while the
+	// buffered records wrap the end of the storage, and overwrites once
+	// capacity is reached. Capacity 37 makes the last growth step clamp.
+	const capacity = 37
+	grown, fixed := NewCollector(0, capacity), newFixedRing(capacity)
+	next := sim.Time(0)
+	var wrapped bool
+	for _, pushes := range []int{3, 5, 14, 1, 20, 9, 30, 0, 2, 45, 7, 80, 36, 37, 38} {
+		for i := 0; i < pushes; i++ {
+			next++
+			r := Record{Time: next, Kind: KindMsg, Msg: &accl.MsgEvent{Seq: int(next)}}
+			if grown.n == len(grown.buf) && len(grown.buf) < capacity && grown.head > 0 {
+				wrapped = true // this push grows the ring across a wrap
+			}
+			grown.Push(r)
+			fixed.push(r)
+		}
+		if grown.Len() != fixed.n || grown.Pushed() != fixed.pushed || grown.Dropped() != fixed.dropped {
+			t.Fatalf("after %d pushes: len/pushed/dropped = %d/%d/%d, preallocated ring %d/%d/%d",
+				pushes, grown.Len(), grown.Pushed(), grown.Dropped(), fixed.n, fixed.pushed, fixed.dropped)
+		}
+		got, want := grown.Drain(nil), fixed.drain()
+		if len(got) != len(want) {
+			t.Fatalf("drained %d records, preallocated ring %d", len(got), len(want))
+		}
+		for i := range want {
+			if got[i].Time != want[i].Time || got[i].Msg != want[i].Msg {
+				t.Fatalf("drain position %d: time %v, preallocated ring %v", i, got[i].Time, want[i].Time)
+			}
+		}
+		if len(grown.buf) > capacity {
+			t.Fatalf("ring storage %d exceeds capacity %d", len(grown.buf), capacity)
+		}
+	}
+	if !wrapped {
+		t.Fatal("no growth step happened across a wrap")
+	}
+	if len(grown.buf) != capacity {
+		t.Fatalf("ring storage %d, want it grown to capacity %d", len(grown.buf), capacity)
+	}
+}
+
+// fixedRing is the preallocated ring the growing Collector must match.
+type fixedRing struct {
+	buf             []Record
+	head, n         int
+	pushed, dropped uint64
+}
+
+func newFixedRing(capacity int) *fixedRing { return &fixedRing{buf: make([]Record, capacity)} }
+
+func (f *fixedRing) push(r Record) {
+	f.pushed++
+	if f.n == len(f.buf) {
+		f.buf[f.head] = r
+		f.head = (f.head + 1) % len(f.buf)
+		f.dropped++
+		return
+	}
+	f.buf[(f.head+f.n)%len(f.buf)] = r
+	f.n++
+}
+
+func (f *fixedRing) drain() []Record {
+	var out []Record
+	for i := 0; i < f.n; i++ {
+		out = append(out, f.buf[(f.head+i)%len(f.buf)])
+	}
+	f.head, f.n = 0, 0
+	return out
+}
+
+// holdsPayload reports whether any slot of recs' backing array, up to its
+// capacity, still references a payload.
+func holdsPayload(recs []Record) bool {
+	for _, r := range recs[:cap(recs)] {
+		if r.Nodes != nil || r.Coll != nil || r.Msg != nil || r.Wait != nil {
+			return true
+		}
+	}
+	return false
+}
+
+func TestDrainedBuffersHoldNoPayload(t *testing.T) {
+	c := NewCollector(1, 8)
+	for i := 0; i < 11; i++ { // wrap and overwrite
+		c.Push(RecordOfMsg(accl.MsgEvent{Seq: i, SrcNode: 1, End: sim.Time(i)}))
+	}
+	if got := c.Drain(nil); len(got) != 8 || got[0].Msg.Seq != 3 {
+		t.Fatalf("drain = %d records starting at seq %d", len(got), got[0].Msg.Seq)
+	}
+	if holdsPayload(c.buf) {
+		t.Fatal("drained collector ring still references payloads")
+	}
+
+	eng := sim.NewEngine()
+	var seen int
+	p := NewPipeline(eng, PipelineConfig{}, SinkFunc(func(Record) { seen++ }))
+	p.OnCommCreate(accl.CommInfo{Comm: 1, Nodes: []int{0, 1}})
+	eng.After(sim.Millisecond, func() {
+		p.OnCollective(accl.CollEvent{Time: eng.Now(), Comm: 1, Seq: 1, Node: 0, Op: accl.OpAllReduce})
+		p.OnWait(accl.WaitEvent{Time: eng.Now(), Comm: 1, Seq: 1, Waiter: 1, On: 0, Dur: 1})
+		p.OnMessage(accl.MsgEvent{Comm: 1, Seq: 1, SrcNode: 1, DstNode: 0, Bytes: 1, End: eng.Now()})
+	})
+	eng.Run()
+	p.Stop()
+	if seen != 4 {
+		t.Fatalf("sink saw %d records, want 4", seen)
+	}
+	if cap(p.scratch) == 0 || holdsPayload(p.scratch) {
+		t.Fatalf("pipeline drain batch (cap %d) still references payloads", cap(p.scratch))
+	}
+	for _, n := range p.nodes {
+		if holdsPayload(p.collectors[n].buf) {
+			t.Fatalf("collector %d still references payloads after the drain", n)
+		}
+	}
 }
 
 func TestMergeByTimeDeterministicOrder(t *testing.T) {
@@ -183,17 +302,7 @@ func TestDelayMatrixIncrementalUpdates(t *testing.T) {
 }
 
 func TestStreamRoundTrip(t *testing.T) {
-	records := []Record{
-		{Time: 0, Node: -1, Kind: KindCommCreate, Comm: 1, Nodes: []int{0, 2}},
-		RecordOfColl(accl.CollEvent{Time: 5, Comm: 1, Seq: 1, Node: 0,
-			Op: accl.OpAllReduce, Algo: "ring", Bytes: 1 << 20, Phase: accl.PhaseArrive}),
-		RecordOfColl(accl.CollEvent{Time: 9, Comm: 1, Seq: 1, Node: 0,
-			Op: accl.OpAllReduce, Phase: accl.PhaseComplete}),
-		RecordOfMsg(accl.MsgEvent{Comm: 1, Seq: 1, SrcNode: 0, DstNode: 2,
-			Rail: 0, Plane: 1, Sport: 77, QPN: 5, Bytes: 512, Start: 6, End: 8}),
-		RecordOfWait(accl.WaitEvent{Time: 7, Comm: 1, Seq: 1, Waiter: 2, On: 0, Dur: 3}),
-		{Time: 10, Node: -1, Kind: KindCommClose, Comm: 1},
-	}
+	records := streamRoundTripRecords()
 	var buf bytes.Buffer
 	w := NewStreamWriter(&buf)
 	for _, r := range records {
