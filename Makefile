@@ -117,10 +117,12 @@ campaign-smoke:
 	@rm -f CAMP_serial.json CAMP_p0.json CAMP_p1.json CAMP_merged_serial.json CAMP_merged.json CAMP_s0.ckpt CAMP_s1.ckpt
 
 # Every fuzz target for a short run each (go test -fuzz takes one target
-# per invocation): the JSONL encoder against the encoding/json oracle
-# and the stream reader's decode/re-encode round trip. The seed corpora
-# also run in the plain test suite.
-FUZZ_TARGETS := ./internal/telemetry:FuzzAppendRecord ./internal/telemetry:FuzzReadStream
+# per invocation): the JSONL encoder against the encoding/json oracle,
+# the stream reader's decode/re-encode round trip, and the campaign
+# manifest and partial-artifact decoders (hash-stable re-read, byte-exact
+# round trip). The seed corpora also run in the plain test suite.
+FUZZ_TARGETS := ./internal/telemetry:FuzzAppendRecord ./internal/telemetry:FuzzReadStream \
+	./internal/campaign:FuzzReadManifest ./internal/campaign:FuzzReadPartial
 FUZZTIME ?= 10s
 fuzz-short:
 	@for t in $(FUZZ_TARGETS); do \

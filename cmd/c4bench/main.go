@@ -9,7 +9,7 @@
 //	c4bench -list                # enumerate scenarios
 //	c4bench -only fig12,fig13    # a selection
 //	c4bench -only 'ablation-*'   # glob selection
-//	c4bench -campaign flap-sweep # fault-injection campaign sweeps
+//	c4bench -only 'campaign/*'   # fault-injection campaign sweeps
 //	c4bench -md > EXPERIMENTS.md # paper-vs-measured markdown table
 //	c4bench -json > baseline.json# bench-regression baseline (see benchdiff)
 package main
@@ -22,7 +22,6 @@ import (
 	"sort"
 	"strings"
 
-	"c4/internal/faults"
 	_ "c4/internal/harness" // registers every scenario and campaign
 	"c4/internal/metrics"
 	"c4/internal/scenario"
@@ -30,14 +29,13 @@ import (
 
 func main() {
 	var (
-		seed     = flag.Int64("seed", 1, "simulation seed")
-		only     = flag.String("only", "all", "comma-separated scenario names (globs allowed)")
-		campaign = flag.String("campaign", "", "run fault-injection campaigns by short name (comma-separated, 'all' for every campaign)")
-		workers  = flag.Int("workers", 0, "concurrent scenarios (0 = GOMAXPROCS)")
-		list     = flag.Bool("list", false, "list registered scenarios and exit")
-		md       = flag.Bool("md", false, "emit the EXPERIMENTS.md paper-vs-measured table")
-		jsonOut  = flag.Bool("json", false, "emit the bench-regression JSON report of every tracked scenario")
-		shard    = flag.String("shard", "", "run one stride of the selection: \"i/n\" keeps scenarios with index ≡ i (mod n)")
+		seed    = flag.Int64("seed", 1, "simulation seed")
+		only    = flag.String("only", "all", "comma-separated scenario names (globs allowed)")
+		workers = flag.Int("workers", 0, "concurrent scenarios (0 = GOMAXPROCS)")
+		list    = flag.Bool("list", false, "list registered scenarios and exit")
+		md      = flag.Bool("md", false, "emit the EXPERIMENTS.md paper-vs-measured table")
+		jsonOut = flag.Bool("json", false, "emit the bench-regression JSON report of every tracked scenario")
+		shard   = flag.String("shard", "", "run one stride of the selection: \"i/n\" keeps scenarios with index ≡ i (mod n)")
 	)
 	flag.Parse()
 
@@ -46,15 +44,7 @@ func main() {
 		return
 	}
 
-	selection := *only
-	if *campaign != "" {
-		if *only != "all" {
-			fmt.Fprintln(os.Stderr, "c4bench: -only and -campaign are mutually exclusive")
-			os.Exit(2)
-		}
-		selection = faults.CampaignSelection(*campaign)
-	}
-	scns, err := scenario.Select(selection)
+	scns, err := scenario.Select(*only)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "c4bench: %v\n", err)
 		os.Exit(2)
@@ -68,7 +58,7 @@ func main() {
 			}
 		}
 		if len(tracked) == 0 {
-			fmt.Fprintf(os.Stderr, "c4bench: no tracked scenario in selection %q\n", selection)
+			fmt.Fprintf(os.Stderr, "c4bench: no tracked scenario in selection %q\n", *only)
 			os.Exit(2)
 		}
 		scns = tracked
@@ -251,9 +241,12 @@ Trial knobs: job size (8/16/32 nodes, TP=8 per node), spine count (8 = 1:1
 fabric, 4 = 2:1 oversubscription), placement (spread = every ring edge
 crosses the spines; packed = one leaf group, fabric-fault immune), fault
 start/duration, and per-kind severity. Campaign results aggregate into
-this table via the campaign/* rows above; machine-readable reports come
-from `+"`c4sim -campaign <name> -campaign-json DIR`"+` and the bench
-baseline from `+"`c4bench -json`"+`.
+this table via the campaign/* rows above, and the bench baseline pins
+them through `+"`c4bench -json`"+`. Each row is a one-entry manifest (the
+family at the table's seed) run as one shard and merged by
+internal/campaign, the one campaign driver; running that manifest through
+`+"`c4campaign run`"+` and `+"`merge`"+` gives the row's machine-readable
+per-trial report.
 
 Beyond the fixed registry rows, manifest-driven campaigns
 (`+"`cmd/c4campaign`"+`, manifests in campaigns/) scale the sampled

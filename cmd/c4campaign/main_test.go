@@ -157,3 +157,18 @@ func TestEndToEnd(t *testing.T) {
 		t.Fatalf("cross-manifest check: exit %d, want 1", code)
 	}
 }
+
+// TestRunTrialPanicExits1 checks a manifest whose trials panic (a spines
+// knob that leaves the family's flapped uplink outside the fabric) makes
+// `run` exit 1 naming the failing trial, not crash with a goroutine dump.
+func TestRunTrialPanicExits1(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "bad.json")
+	const src = `{"version":1,"name":"bad","entries":[{"family":"flap-sweep","horizon_s":60,"knobs":{"spines":[1]}}]}`
+	if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	code, _, stderr := exec(t, "run", "-manifest", path)
+	if code != 1 || !strings.Contains(stderr, "flap-d25-x8-spread") {
+		t.Fatalf("run over panicking trials: exit %d, stderr %q; want exit 1 naming the trial", code, stderr)
+	}
+}

@@ -16,8 +16,7 @@
 //	c4sim -list                            # enumerate registered scenarios
 //	c4sim -scenario fig12                  # run one paper experiment
 //	c4sim -scenario 'fig*,pipeline'        # run a selection concurrently
-//	c4sim -campaign flap-sweep             # one fault-injection campaign
-//	c4sim -campaign all -campaign-json out # all campaigns + JSON reports
+//	c4sim -scenario 'campaign/*'           # every fault-injection campaign
 //	c4sim -tenancy-trace trace.json        # replay a multi-tenant arrival trace
 //	c4sim -tenancy-trace trace.json -tenancy-policy spread -provider baseline
 //	c4sim -plan tp8/pp4/dp2/ga8            # compile + run a 3D-parallelism plan
@@ -29,12 +28,10 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
 	"time"
 
 	"c4"
-	"c4/internal/faults"
 	"c4/internal/scenario"
 	"c4/internal/workload"
 )
@@ -52,8 +49,6 @@ func main() {
 		seed      = flag.Int64("seed", 1, "simulation seed")
 		list      = flag.Bool("list", false, "list registered scenarios and exit")
 		scenarios = flag.String("scenario", "", "run registered scenarios by name (comma-separated, globs allowed) instead of the interactive job sim")
-		campaign  = flag.String("campaign", "", "run fault-injection campaigns by short name ('all', comma-separated)")
-		cmpJSON   = flag.String("campaign-json", "", "with -campaign: also write one <name>.json report per campaign into this directory")
 		workers   = flag.Int("workers", 0, "concurrent scenarios with -scenario (0 = GOMAXPROCS)")
 		telemOut  = flag.String("telemetry-out", "", "write the run's telemetry stream as JSONL to this file (replay offline with c4watch)")
 		traceOut  = flag.String("trace-out", "", "write the run's causal trace as Chrome trace-event JSON to this file (open in Perfetto, summarize with c4trace)")
@@ -71,9 +66,6 @@ func main() {
 	if *list {
 		scenario.FprintList(os.Stdout, scenario.All())
 		return
-	}
-	if *campaign != "" {
-		os.Exit(runCampaigns(*campaign, *cmpJSON, *seed, *workers))
 	}
 	if *scenarios != "" {
 		os.Exit(runScenarios(*scenarios, *seed, *workers))
@@ -163,51 +155,6 @@ func writeTraceFile(path string, tracer *c4.Tracer) error {
 		return err
 	}
 	return f.Close()
-}
-
-// runCampaigns executes fault-injection campaigns through the registry
-// ("flap-sweep" -> scenario "campaign/flap-sweep"), optionally archiving
-// each campaign's machine-readable JSON report.
-func runCampaigns(selection, jsonDir string, seed int64, workers int) int {
-	scns, err := scenario.Select(faults.CampaignSelection(selection))
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "c4sim: %v\n", err)
-		return 2
-	}
-	reports := (&scenario.Runner{Workers: workers}).Run(context.Background(), seed, scns)
-	failures := 0
-	for _, rep := range reports {
-		if scenario.FprintReport(os.Stdout, rep) {
-			failures++
-		}
-		if jsonDir == "" || rep.Err != nil {
-			continue
-		}
-		res, ok := rep.Result.(*faults.Result)
-		if !ok {
-			continue
-		}
-		if err := writeCampaignJSON(jsonDir, res); err != nil {
-			fmt.Fprintf(os.Stderr, "c4sim: %v\n", err)
-			failures++
-		}
-	}
-	if failures > 0 {
-		return 1
-	}
-	return 0
-}
-
-func writeCampaignJSON(dir string, res *faults.Result) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	f, err := os.Create(filepath.Join(dir, res.Name+".json"))
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return res.WriteJSON(f)
 }
 
 // runTenancy replays a JSON arrival trace through the multi-tenant engine:

@@ -22,29 +22,6 @@ func TestRunScenariosUnknown(t *testing.T) {
 	}
 }
 
-func TestRunCampaignsSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("campaign sweep in -short mode")
-	}
-	dir := t.TempDir()
-	if code := runCampaigns("straggler-sweep", dir, 1, 0); code != 0 {
-		t.Fatalf("runCampaigns(straggler-sweep) = %d, want 0", code)
-	}
-	data, err := os.ReadFile(filepath.Join(dir, "straggler-sweep.json"))
-	if err != nil {
-		t.Fatalf("campaign JSON report not written: %v", err)
-	}
-	if len(data) == 0 {
-		t.Fatal("campaign JSON report empty")
-	}
-}
-
-func TestRunCampaignsUnknown(t *testing.T) {
-	if code := runCampaigns("no-such-campaign", "", 1, 1); code != 2 {
-		t.Fatalf("runCampaigns(unknown) = %d, want 2", code)
-	}
-}
-
 func TestRunTenancySmoke(t *testing.T) {
 	trace := filepath.Join(t.TempDir(), "trace.json")
 	if err := os.WriteFile(trace, []byte(`{"events": [

@@ -59,7 +59,7 @@ func TestListAnalyzers(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit code = %d, want 0", code)
 	}
-	for _, name := range []string{"mapiterfloat", "wallclock", "globalrand", "sinkerr", "ctxleak", "timeconfuse", "deprecated"} {
+	for _, name := range []string{"mapiterfloat", "wallclock", "globalrand", "sinkerr", "ctxleak", "timeconfuse", "layering", "deprecated"} {
 		if !strings.Contains(stdout.String(), name) {
 			t.Errorf("-list missing %s:\n%s", name, stdout.String())
 		}

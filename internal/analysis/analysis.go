@@ -79,6 +79,7 @@ func All() []*Analyzer {
 		SinkErr,
 		CtxLeak,
 		TimeConfuse,
+		Layering,
 		Deprecated(),
 	}
 }

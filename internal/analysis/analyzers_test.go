@@ -58,6 +58,19 @@ func TestCtxLeak(t *testing.T) {
 	analysistest.Run(t, analysis.CtxLeak, "c4/internal/fixture", "ctxleak.go")
 }
 
+func TestLayering(t *testing.T) {
+	analysistest.RunWithDeps(t, analysis.Layering, "c4/internal/fixture",
+		[]analysistest.Dep{{Path: "c4/internal/scenario", Files: []string{"scenariodep/scenario.go"}}},
+		"layering.go", "layering_allow.go")
+}
+
+func TestLayeringExemptsHarnessAndCommands(t *testing.T) {
+	deps := []analysistest.Dep{{Path: "c4/internal/scenario", Files: []string{"scenariodep/scenario.go"}}}
+	for _, pkg := range []string{"c4/internal/harness", "c4/internal/campaign", "c4/cmd/fixture"} {
+		analysistest.RunWithDeps(t, analysis.Layering, pkg, deps, "layering_exempt.go")
+	}
+}
+
 func TestDeprecated(t *testing.T) {
 	analysistest.Run(t, analysis.Deprecated(), "c4/internal/fixture", "deprecated.go")
 }

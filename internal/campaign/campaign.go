@@ -14,10 +14,12 @@
 // intervals over the per-trial statistics. Interrupted shards resume from
 // a per-shard checkpoint file, re-running only missing trials.
 //
-// Where the scenario registry reproduces the paper's fixed experiments
-// and internal/faults generates dozens of trials in one process, this
-// package is the 10k-trial substrate: fleet-scale statistics with
-// confidence intervals instead of single seeds.
+// It is the one driver of fault-campaign trials: internal/faults defines
+// the families and runs a single trial, and everything that runs and
+// aggregates many goes through here — from a campaign/<name> registry
+// scenario (a one-entry, one-shard manifest at the run's seed) up to a
+// 10k-trial manifest sharded across machines, whose merged report adds
+// fleet-scale statistics with confidence intervals.
 package campaign
 
 import (
@@ -273,8 +275,8 @@ type TrialSpec struct {
 	Family string
 	Seed   int64
 	Knobs  string
-	// TrialSeed is the derived per-trial root seed, identical to what an
-	// in-process faults.Campaign.Run of the same instance would use.
+	// TrialSeed is the derived per-trial root seed,
+	// faults.TrialSeed(Seed, i) for the instance's i-th generated trial.
 	TrialSeed int64
 	// Horizon is the resolved virtual-time horizon.
 	Horizon sim.Time

@@ -80,8 +80,8 @@ func TestManifestHashNormalized(t *testing.T) {
 }
 
 // TestExpand pins the expansion layout: entries in order, seeds
-// ascending, knob grid cartesian in listed order, trial seeds identical
-// to the in-process campaign derivation.
+// ascending, knob grid cartesian in listed order, trial seeds from
+// faults.TrialSeed by position in the generated trial list.
 func TestExpand(t *testing.T) {
 	m := testManifest(t, `{
 	  "version": 1, "name": "grid", "seed": 7,
@@ -113,7 +113,7 @@ func TestExpand(t *testing.T) {
 	if specs[0].Trial.Placement != faults.Spread || specs[0].Trial.Spines != 8 {
 		t.Fatalf("knob overrides not applied: %+v", specs[0].Trial)
 	}
-	// Trial seed must match what faults.Campaign.Run derives for trial i.
+	// Trial seed i of an instance is faults.TrialSeed(seed, i).
 	if want := faults.TrialSeed(7, 0); specs[0].TrialSeed != want {
 		t.Fatalf("trial seed %d, want %d", specs[0].TrialSeed, want)
 	}
@@ -332,5 +332,28 @@ func TestPartialRoundTrip(t *testing.T) {
 	}
 	if s := merged.String(); !strings.Contains(s, "precision") || !strings.Contains(s, "aggregate:") {
 		t.Fatalf("merged String() missing summary lines:\n%s", s)
+	}
+}
+
+// badKnobManifest passes Validate, but its spines knob leaves the
+// flap-sweep family's flapped uplink 1 outside the fabric, so every trial
+// panics while arming its fault.
+const badKnobManifest = `{"version":1,"name":"bad","entries":[{"family":"flap-sweep","horizon_s":60,"knobs":{"spines":[1]}}]}`
+
+// TestShardRunTrialPanic checks a panicking trial fails the shard with an
+// error naming the lowest-index failing trial, for any worker count,
+// instead of crashing the process from a pool goroutine.
+func TestShardRunTrialPanic(t *testing.T) {
+	m := testManifest(t, badKnobManifest)
+	for _, workers := range []int{1, 3} {
+		p, err := (&ShardRun{Manifest: m, Of: 1, Workers: workers}).Run()
+		if err == nil {
+			t.Fatalf("workers=%d: shard with panicking trials returned a partial of %d records", workers, len(p.Records))
+		}
+		for _, want := range []string{"trial 0 (flap-d25-x8-spread)", "uplink 1 outside"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Fatalf("workers=%d: error %q does not mention %q", workers, err, want)
+			}
+		}
 	}
 }

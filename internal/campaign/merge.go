@@ -34,21 +34,21 @@ type Stat struct {
 
 // Summary is the fleet-scale statistics block of a merged campaign:
 // distributional statistics over per-trial values, plus the exact
-// count-based aggregate the in-process campaign reports, so the two
-// views can be cross-checked.
+// pooled aggregate the campaign/* scenarios report and the bench
+// baseline pins, so the two views can be cross-checked.
 type Summary struct {
 	// Precision is over trials that emitted at least one finding;
 	// Recall over trials with at least one relevant injected fault;
 	// RCAAccuracy over trials with at least one classified finding;
 	// GoodputDelta over trials with a relevant fault (the irrelevant-
 	// fault trials would only dilute the steering signal — the same
-	// rule faults.Result.GoodputDelta applies).
+	// rule faults.GoodputDelta applies).
 	Precision    Stat `json:"precision"`
 	Recall       Stat `json:"recall"`
 	RCAAccuracy  Stat `json:"rca_accuracy"`
 	GoodputDelta Stat `json:"goodput_delta"`
-	// Aggregate is the exact pooled view: confusion-count ratios and the
-	// goodput-sum delta, as an in-process faults campaign would report.
+	// Aggregate is the exact pooled view: the confusion-count ratios of
+	// faults.PooledScore and the goodput-sum delta of faults.GoodputDelta.
 	Aggregate map[string]float64 `json:"aggregate"`
 }
 
@@ -172,30 +172,21 @@ func MergeHash(m *Manifest, partials []*Partial) (*Merged, error) {
 // merged artifacts are byte-compared in CI.
 func summarize(records []Record, seed int64) Summary {
 	var precision, recall, rcaAcc, delta []float64
-	var agg faults.Score
-	var base, steered float64
-	for _, r := range records {
-		sc := r.Result.Score
-		agg = agg.Add(sc)
+	trials := TrialResults(records)
+	for _, tr := range trials {
+		sc := tr.Score
 		if sc.Events > 0 {
 			precision = append(precision, sc.Precision())
 		}
 		if sc.Relevant > 0 {
 			recall = append(recall, sc.Recall())
-			delta = append(delta, r.Result.Delta())
-			base += r.Result.BaseGoodput
-			steered += r.Result.SteeredGoodput
+			delta = append(delta, tr.Delta())
 		}
 		if sc.RCAEvents > 0 {
 			rcaAcc = append(rcaAcc, sc.RCAAccuracy())
 		}
 	}
-	// The delta is steered/base - 1 when any relevant goodput was
-	// measured, 0 otherwise — mirroring faults.Result.GoodputDelta.
-	aggDelta := 0.0
-	if base > 0 {
-		aggDelta = steered/base - 1
-	}
+	agg := faults.PooledScore(trials)
 	r := sim.NewRand(seed*1_000_003 + 17)
 	stat := func(xs []float64) Stat {
 		mean, std := metrics.MeanStd(xs)
@@ -211,9 +202,18 @@ func summarize(records []Record, seed int64) Summary {
 			"precision":     agg.Precision(),
 			"recall":        agg.Recall(),
 			"rca_accuracy":  agg.RCAAccuracy(),
-			"goodput_delta": aggDelta,
+			"goodput_delta": faults.GoodputDelta(trials),
 		},
 	}
+}
+
+// TrialResults returns the records' trial results, in record order.
+func TrialResults(records []Record) []faults.TrialResult {
+	out := make([]faults.TrialResult, len(records))
+	for i, r := range records {
+		out[i] = r.Result
+	}
+	return out
 }
 
 // Check validates a merged artifact's internal consistency: complete

@@ -14,18 +14,21 @@ import (
 )
 
 // Record is one completed trial: the attribution fields from the
-// expansion plus the two-arm measurement.
+// expansion, the resolved horizon its goodputs are measured over, and
+// the two-arm measurement.
 type Record struct {
-	Index  int                `json:"index"`
-	Family string             `json:"family"`
-	Seed   int64              `json:"seed"`
-	Knobs  string             `json:"knobs,omitempty"`
-	Result faults.TrialResult `json:"result"`
+	Index    int                `json:"index"`
+	Family   string             `json:"family"`
+	Seed     int64              `json:"seed"`
+	Knobs    string             `json:"knobs,omitempty"`
+	HorizonS float64            `json:"horizon_s"`
+	Result   faults.TrialResult `json:"result"`
 }
 
 // record builds the Record for a completed TrialSpec.
 func record(ts TrialSpec, res faults.TrialResult) Record {
-	return Record{Index: ts.Index, Family: ts.Family, Seed: ts.Seed, Knobs: ts.Knobs, Result: res}
+	return Record{Index: ts.Index, Family: ts.Family, Seed: ts.Seed, Knobs: ts.Knobs,
+		HorizonS: ts.Horizon.Seconds(), Result: res}
 }
 
 // Partial is one shard's result artifact. The manifest hash stamps which
@@ -42,9 +45,11 @@ type Partial struct {
 	Records      []Record `json:"records"`
 }
 
-// WriteJSON emits the canonical (index-sorted, indented) form.
+// WriteJSON emits the canonical (index-sorted, indented) form. The sort
+// is stable so the form is a fixed point even for a malformed partial
+// with duplicate indices, which Merge refuses.
 func (p *Partial) WriteJSON(w io.Writer) error {
-	sort.Slice(p.Records, func(i, j int) bool { return p.Records[i].Index < p.Records[j].Index })
+	sort.SliceStable(p.Records, func(i, j int) bool { return p.Records[i].Index < p.Records[j].Index })
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(p)
@@ -149,7 +154,13 @@ func (sr *ShardRun) Run() (*Partial, error) {
 	}
 
 	recs := make([]Record, len(todo))
+	// A trial that panics (say, a knob override its fault specs do not
+	// fit) must fail the run, not the process: capture each panic on its
+	// pool goroutine and report the lowest-index one, so the error is
+	// the same for any worker count. Completed trials still checkpoint.
+	panics := make([]any, len(todo))
 	scenario.ForEach(len(todo), sr.Workers, func(i int) {
+		defer func() { panics[i] = recover() }()
 		recs[i] = record(todo[i], todo[i].Run())
 		if ckpt != nil {
 			// Appended on completion, so checkpoint line order is
@@ -158,10 +169,18 @@ func (sr *ShardRun) Run() (*Partial, error) {
 			ckpt.Append(recs[i])
 		}
 	})
+	var ckptErr error
 	if ckpt != nil {
-		if err := ckpt.Close(); err != nil {
-			return nil, err
+		ckptErr = ckpt.Close()
+	}
+	for i, p := range panics {
+		if p != nil {
+			return nil, fmt.Errorf("campaign %s: trial %d (%s) failed: %v",
+				sr.Manifest.Name, todo[i].Index, todo[i].Trial.ID, p)
 		}
+	}
+	if ckptErr != nil {
+		return nil, ckptErr
 	}
 
 	p := &Partial{

@@ -8,104 +8,111 @@ import (
 	"c4/internal/sim"
 )
 
-// miniCampaign is a short two-trial campaign small enough for the race
-// detector: one fabric fault, one compute fault, 8-node jobs.
-func miniCampaign() Campaign {
-	return Campaign{
-		Name:        "mini",
-		Description: "test campaign",
-		Horizon:     90 * sim.Second,
-		Gen: func(seed int64) []Trial {
-			return []Trial{
-				{ID: "mini-flap", JobN: 8, Spines: 8, Placement: Spread,
-					Specs: []Spec{{
-						Kind: LinkFlap, Rail: 0, Plane: 0, Group: 0, Uplink: 1,
-						Severity: 0.5, Period: 10 * sim.Second,
-						Start: 15 * sim.Second, Duration: 50 * sim.Second,
-					}}},
-				{ID: "mini-straggler", JobN: 8, Spines: 8, Placement: Packed,
-					Specs: []Spec{{
-						Kind: Straggler, Node: 3, Severity: 0.8,
-						Start: 15 * sim.Second, Duration: 60 * sim.Second,
-					}}},
-			}
-		},
+// miniTrials are two short trials small enough for the race detector:
+// one fabric fault, one compute fault, 8-node jobs.
+func miniTrials() []Trial {
+	return []Trial{
+		{ID: "mini-flap", JobN: 8, Spines: 8, Placement: Spread,
+			Specs: []Spec{{
+				Kind: LinkFlap, Rail: 0, Plane: 0, Group: 0, Uplink: 1,
+				Severity: 0.5, Period: 10 * sim.Second,
+				Start: 15 * sim.Second, Duration: 50 * sim.Second,
+			}}},
+		{ID: "mini-straggler", JobN: 8, Spines: 8, Placement: Packed,
+			Specs: []Spec{{
+				Kind: Straggler, Node: 3, Severity: 0.8,
+				Start: 15 * sim.Second, Duration: 60 * sim.Second,
+			}}},
 	}
 }
 
-// TestSerialMatchesParallel is the campaign-runner replay contract: the
-// same seed must produce a byte-identical report whether trials run on one
-// worker or many (run with -race to also prove the pool shares no state).
-func TestSerialMatchesParallel(t *testing.T) {
-	c := miniCampaign()
-	serial := c.Run(7, 1)
-	parallel := c.Run(7, 4)
-	if s, p := serial.String(), parallel.String(); s != p {
-		t.Fatalf("parallel campaign diverged from serial:\nserial:\n%s\nparallel:\n%s", s, p)
+// runMini runs the mini trials as campaign seed `seed` would: trial i
+// under TrialSeed(seed, i), over a 90 s horizon.
+func runMini(seed int64) []TrialResult {
+	trials := miniTrials()
+	out := make([]TrialResult, len(trials))
+	for i, tr := range trials {
+		out[i] = RunTrial(tr, TrialSeed(seed, i), 90*sim.Second)
 	}
-	if serial.Fired() == 0 {
-		t.Fatal("campaign fired no events")
+	return out
+}
+
+func miniJSON(t *testing.T, res []TrialResult) []byte {
+	t.Helper()
+	b, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return b
 }
 
 func TestSameSeedByteIdentical(t *testing.T) {
-	c := miniCampaign()
-	a, b := c.Run(3, 0), c.Run(3, 0)
-	if a.String() != b.String() {
+	a, b := miniJSON(t, runMini(3)), miniJSON(t, runMini(3))
+	if !bytes.Equal(a, b) {
 		t.Fatalf("same seed diverged:\n%s\nvs:\n%s", a, b)
 	}
-	var aj, bj bytes.Buffer
-	if err := a.WriteJSON(&aj); err != nil {
-		t.Fatal(err)
+	// And the results must round-trip as JSON.
+	var parsed []TrialResult
+	if err := json.Unmarshal(a, &parsed); err != nil {
+		t.Fatalf("trial JSON invalid: %v", err)
 	}
-	if err := b.WriteJSON(&bj); err != nil {
-		t.Fatal(err)
-	}
-	if aj.String() != bj.String() {
-		t.Fatal("same seed produced different JSON reports")
-	}
-	// And the JSON must round-trip as valid JSON.
-	var parsed map[string]any
-	if err := json.Unmarshal(aj.Bytes(), &parsed); err != nil {
-		t.Fatalf("report JSON invalid: %v", err)
-	}
-	if parsed["name"] != "mini" {
-		t.Fatalf("JSON name = %v", parsed["name"])
+	if len(parsed) != 2 || parsed[0].ID != "mini-flap" {
+		t.Fatalf("trial JSON round trip: %+v", parsed)
 	}
 }
 
 func TestDifferentSeedsVary(t *testing.T) {
-	c := miniCampaign()
-	a, b := c.Run(3, 0), c.Run(4, 0)
-	if a.String() == b.String() {
-		t.Fatal("different seeds produced identical campaign reports")
+	if bytes.Equal(miniJSON(t, runMini(3)), miniJSON(t, runMini(4))) {
+		t.Fatal("different seeds produced identical trial results")
 	}
 }
 
 func TestMiniCampaignMeasuresSomething(t *testing.T) {
-	res := miniCampaign().Run(1, 0)
-	if err := res.CheckShape(); err != nil {
-		t.Fatalf("shape: %v\n%s", err, res)
-	}
-	for _, tr := range res.Trials {
-		if tr.BaseGoodput <= 0 || tr.SteeredGoodput <= 0 {
-			t.Fatalf("trial %s has zero goodput:\n%s", tr.ID, res)
+	res := runMini(1)
+	for _, tr := range res {
+		if tr.BaseIters <= 0 || tr.SteeredIters <= 0 || tr.BaseGoodput <= 0 || tr.SteeredGoodput <= 0 {
+			t.Fatalf("trial %s made no progress: %+v", tr.ID, tr)
+		}
+		if tr.Events == 0 {
+			t.Fatalf("trial %s fired no events", tr.ID)
 		}
 	}
 	// The flap trial crosses the spine layer: it must be relevant, and the
 	// pinned arm must suffer relative to the steered arm.
-	flap := res.Trials[0]
+	flap := res[0]
 	if flap.Score.Relevant != 1 {
 		t.Fatalf("flap trial relevant=%d, want 1", flap.Score.Relevant)
 	}
 	if flap.Delta() <= 0 {
-		t.Fatalf("flap trial delta %+.2f, want steering to win:\n%s", flap.Delta(), res)
+		t.Fatalf("flap trial delta %+.2f, want steering to win: %+v", flap.Delta(), flap)
 	}
-	m := res.Metrics()
-	for _, key := range []string{"precision", "recall", "rca_accuracy", "goodput_delta"} {
-		if _, ok := m[key]; !ok {
-			t.Fatalf("Metrics() missing %q", key)
-		}
+	if agg := PooledScore(res); agg.Relevant != res[0].Score.Relevant+res[1].Score.Relevant {
+		t.Fatalf("pooled score %+v does not sum the trials", agg)
+	}
+}
+
+// TestPooledHelpers pins the campaign-level aggregates: PooledScore sums
+// confusion counts, and GoodputDelta pools goodput over relevant trials
+// only, reading 0 when none was measured.
+func TestPooledHelpers(t *testing.T) {
+	trials := []TrialResult{
+		{Score: Score{Events: 2, TP: 1, FP: 1, Relevant: 1, Detected: 1}, BaseGoodput: 40, SteeredGoodput: 60},
+		{Score: Score{Events: 1, TP: 1, Relevant: 1}, BaseGoodput: 60, SteeredGoodput: 90},
+		// Irrelevant: a large loss here must not dilute the delta.
+		{Score: Score{}, BaseGoodput: 100, SteeredGoodput: 10},
+	}
+	agg := PooledScore(trials)
+	if agg.Events != 3 || agg.TP != 2 || agg.FP != 1 || agg.Relevant != 2 || agg.Detected != 1 {
+		t.Fatalf("PooledScore = %+v", agg)
+	}
+	if d := GoodputDelta(trials); d != 0.5 {
+		t.Fatalf("GoodputDelta = %v, want 0.5 over the relevant trials", d)
+	}
+	if d := GoodputDelta(trials[2:]); d != 0 {
+		t.Fatalf("GoodputDelta with no relevant trial = %v, want 0", d)
+	}
+	if d := GoodputDelta(nil); d != 0 {
+		t.Fatalf("GoodputDelta(nil) = %v, want 0", d)
 	}
 }
 
@@ -174,20 +181,6 @@ func TestCampaignRegistryDefinitions(t *testing.T) {
 	}
 	if _, ok := ByName("nope"); ok {
 		t.Error("ByName found a campaign that does not exist")
-	}
-}
-
-func TestCampaignSelection(t *testing.T) {
-	cases := map[string]string{
-		"flap-sweep":       "campaign/flap-sweep",
-		"all":              "campaign/*",
-		"flap-sweep,mixed": "campaign/flap-sweep,campaign/mixed",
-		" mixed , all ":    "campaign/mixed,campaign/*",
-	}
-	for in, want := range cases {
-		if got := CampaignSelection(in); got != want {
-			t.Errorf("CampaignSelection(%q) = %q, want %q", in, got, want)
-		}
 	}
 }
 

@@ -1,17 +1,17 @@
-// Package faults is the fault-injection campaign engine of the C4
-// reproduction. It provides a composable, seed-deterministic fault model —
-// link flap with duty cycle, NIC bandwidth degradation, spine/switch
-// outage, straggler compute, silent packet drop — that injects timed
-// events into any netsim/topo instance, plus a campaign runner that sweeps
-// fault type × severity × topology scale × placement as generated
-// scenarios.
+// Package faults is the fault model of the C4 reproduction's campaigns.
+// It provides a composable, seed-deterministic fault model — link flap
+// with duty cycle, NIC bandwidth degradation, spine/switch outage,
+// straggler compute, silent packet drop — that injects timed events into
+// any netsim/topo instance, the campaign families that sweep fault type ×
+// severity × topology scale × placement as generated trial lists, and
+// the single-trial runner.
 //
 // Each campaign trial runs the same fault schedule twice: once with C4P
 // dynamic steering responding to the faults, once with routes pinned (no
 // fault response), and scores C4D's diagnosis precision/recall against the
-// injected ground truth plus the goodput delta steering buys. Where the
-// harness package reproduces the paper's ~15 fixed experiments, this
-// package generates hundreds.
+// injected ground truth plus the goodput delta steering buys. Running and
+// aggregating many trials is internal/campaign's job, which backs both the
+// campaign/* registry scenarios and manifest-driven runs.
 package faults
 
 import (

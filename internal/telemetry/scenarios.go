@@ -16,6 +16,7 @@ import (
 	"c4/internal/faults"
 	"c4/internal/job"
 	"c4/internal/metrics"
+	//c4vet:allow layering registry glue until the ROADMAP move of telemetry/scenarios.go into internal/harness lands
 	"c4/internal/scenario"
 	"c4/internal/sim"
 	"c4/internal/topo"

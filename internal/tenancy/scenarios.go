@@ -9,6 +9,7 @@ import (
 	"strings"
 
 	"c4/internal/metrics"
+	//c4vet:allow layering registry glue until the ROADMAP move of tenancy/scenarios.go into internal/harness lands
 	"c4/internal/scenario"
 	"c4/internal/sched"
 	"c4/internal/sim"
